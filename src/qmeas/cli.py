@@ -27,7 +27,7 @@ from .intersubjectivity import (
     verify_oit,
 )
 from .linalg import State
-from .observables import Observable, Povm, povm_probabilities
+from .observables import DEFAULT_LABEL_TOL, Observable, Povm, povm_probabilities
 from .processes import MeasurementProcess, effect_gaps, induced_povm, naimark_dilation
 from .vonneumann import build_vn_process, check_observable_entanglement, entangled_state
 
@@ -36,7 +36,6 @@ SCHEMA_VERSION = "1"
 DEFAULT_TRIALS = 100
 DEFAULT_SEED = 0
 DEFAULT_TOL = 1e-9
-DEFAULT_LABEL_TOL = 1e-8
 DEFAULT_SAMPLES = 1000
 
 

@@ -2,9 +2,14 @@
 
 Two measurement processes that share the system but own separate ancillas
 are composed into one scenario by applying the couplings sequentially on
-the threefold space. The evolved meters then commute by construction, so a
-joint outcome distribution exists; the checks here quantify how much
-probability the two observers assign to unequal outcomes.
+the threefold space. The evolved meters then commute by construction: each
+process meter acts on its own ancilla factor, and both are conjugated by
+the same composite coupling. So a joint outcome distribution exists. It is
+read from the state tensor, coupling applied to system state x ancilla
+states, by contracting each meter's projectors on its own ancilla axis;
+the dense evolved meters are built only when read, at O(n D^3) cost. The
+checks here quantify how much probability the two observers assign to
+unequal outcomes.
 
 For processes that reproduce the same sharp observable that off-diagonal
 mass vanishes: both observers always read the same value. A pair of
@@ -49,44 +54,104 @@ DEFAULT_AGREEMENT_TOL = 1e-9
 JOINT_SUM_TOL = 1e-10
 
 
+class _EvolvedMeter:
+    """Dataclass field for an evolved meter that callers may omit.
+
+    A meter passed to the constructor is stored as given. An omitted one
+    (None) is built densely, together with its partner, on first read and
+    kept from then on.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, scenario, owner=None):
+        if scenario is None:  # class access: dataclass reads the default here
+            return None
+        if scenario.__dict__[self.name] is None:
+            scenario._build_evolved_meters()
+        return scenario.__dict__[self.name]
+
+    def __set__(self, scenario, meter) -> None:
+        scenario.__dict__[self.name] = meter
+
+
+def _check_commute(m1: Observable, m2: Observable) -> None:
+    commutator_norm = float(np.linalg.norm(m1.matrix @ m2.matrix - m2.matrix @ m1.matrix))
+    if commutator_norm > COMMUTATOR_TOL:
+        raise LocalityError(f"evolved meters do not commute: Frobenius norm {commutator_norm:.3e}")
+
+
+def _evolve(coupling: np.ndarray, meter: Observable, lift) -> Observable:
+    """Meter conjugated by the coupling after lifting each projector."""
+    branches = tuple(
+        (value, coupling.conj().T @ lift(proj) @ coupling)
+        for value, proj in meter.spectral.branches
+    )
+    return Observable.from_spectral(SpectralDecomposition(branches))
+
+
 @dataclass(frozen=True, eq=False)
 class JointScenario:
     """Two processes on separate ancillas composed over one system.
 
-    The composite space is system x first ancilla x second ancilla; the
-    evolved meters are both conjugated by the same composite coupling and
-    commute within COMMUTATOR_TOL (construction rejects anything else).
+    The composite space is system x first ancilla x second ancilla, and the
+    composite coupling must be unitary. The joint law is read from the
+    state tensor (see ``joint_distribution``), so it needs neither evolved
+    meter.
+
+    ``evolved_meter1``/``evolved_meter2`` are each process meter, lifted to
+    its own ancilla factor and conjugated by the composite coupling. They
+    commute by construction: the lifted meters act on distinct ancilla
+    factors, so they commute, and conjugating both by the same unitary
+    keeps that. Meters passed in are checked to commute within
+    COMMUTATOR_TOL (else ``LocalityError``) and are otherwise taken as
+    given. Omitted meters are built densely on first read, at O(n D^3) cost
+    for n branches in composite dimension D, checked the same way and kept.
     """
 
     system_dim: int
     process1: MeasurementProcess
     process2: MeasurementProcess
     composite_coupling: np.ndarray
-    evolved_meter1: Observable
-    evolved_meter2: Observable
+    evolved_meter1: Observable | None = _EvolvedMeter()
+    evolved_meter2: Observable | None = _EvolvedMeter()
 
     def __post_init__(self) -> None:
-        total = self.system_dim * self.process1.ancilla_dim * self.process2.ancilla_dim
+        total = self.total_dim
         coupling = as_complex_matrix(self.composite_coupling, "composite coupling").copy()
         if coupling.shape != (total, total):
             raise ValueError("composite coupling does not match the threefold dimension")
         if not is_unitary(coupling):
             raise ValueError(f"composite coupling is not unitary within {UNITARY_TOL}")
-        if self.evolved_meter1.dim != total or self.evolved_meter2.dim != total:
-            raise ValueError("evolved meters must act on the full composite space")
-        m1 = self.evolved_meter1.matrix
-        m2 = self.evolved_meter2.matrix
-        commutator_norm = float(np.linalg.norm(m1 @ m2 - m2 @ m1))
-        if commutator_norm > COMMUTATOR_TOL:
-            raise LocalityError(
-                f"evolved meters do not commute: Frobenius norm {commutator_norm:.3e}"
-            )
+        # Read the stored meters directly: the attributes would build them.
+        meters = [self.__dict__["evolved_meter1"], self.__dict__["evolved_meter2"]]
+        if meters.count(None) == 1:
+            raise ValueError("pass both evolved meters or neither")
+        if meters[0] is not None:
+            if meters[0].dim != total or meters[1].dim != total:
+                raise ValueError("evolved meters must act on the full composite space")
+            _check_commute(*meters)
         coupling.setflags(write=False)
         object.__setattr__(self, "composite_coupling", coupling)
 
     @property
     def total_dim(self) -> int:
         return self.system_dim * self.process1.ancilla_dim * self.process2.ancilla_dim
+
+    def _build_evolved_meters(self) -> None:
+        d, k1 = self.system_dim, self.process1.ancilla_dim
+        k2 = self.process2.ancilla_dim
+        meter1 = _evolve(
+            self.composite_coupling,
+            self.process1.meter,
+            lambda proj: tensor(tensor(np.eye(d), proj), np.eye(k2)),
+        )
+        meter2 = _evolve(
+            self.composite_coupling, self.process2.meter, lambda proj: tensor(np.eye(d * k1), proj)
+        )
+        _check_commute(meter1, meter2)
+        self.__dict__.update(evolved_meter1=meter1, evolved_meter2=meter2)
 
 
 @dataclass(frozen=True)
@@ -144,29 +209,17 @@ class OitSummary:
     passes: bool
 
 
-def _lift_first(u: np.ndarray, dim2: int) -> np.ndarray:
-    """Extend an operator on system x first ancilla by identity on the second."""
-    return tensor(u, np.eye(dim2))
-
-
-def _lift_second(u: np.ndarray, d: int, k1: int, k2: int) -> np.ndarray:
-    """Extend an operator on system x second ancilla by identity on the first."""
-    four = u.reshape(d, k2, d, k2)
-    six = np.einsum("icjd,ab->iacjbd", four, np.eye(k1))
-    return six.reshape(d * k1 * k2, d * k1 * k2)
-
-
 def compose_joint_scenario(
     p1: MeasurementProcess, p2: MeasurementProcess, first: int = 1
 ) -> JointScenario:
     """Compose two processes with a shared system into one scenario.
 
-    Each coupling is lifted to the threefold space (identity on the other
-    observer's ancilla) and the two are applied sequentially; by default the
-    first process couples first. Each meter's spectral family is lifted to
-    its own ancilla factor and conjugated by the composite coupling. The
-    evolved meters must commute within COMMUTATOR_TOL, otherwise the
-    composition is rejected.
+    Each coupling acts on the system and its own ancilla, with identity on
+    the other observer's ancilla, and the two are applied sequentially; by
+    default the first process couples first. The composite coupling is
+    formed by contracting the two couplings over the system index they
+    share, at O(d D^2) cost. The evolved meters are left to be built on
+    first read.
     """
     if p1.system_dim != p2.system_dim:
         raise ValueError("processes disagree on the system dimension")
@@ -176,52 +229,55 @@ def compose_joint_scenario(
     total = d * k1 * k2
     if total > PRODUCT_DIM_GUARD:
         raise ValueError(f"composite dimension {total} exceeds the guard {PRODUCT_DIM_GUARD}")
-    lifted1 = _lift_first(p1.coupling, k2)
-    lifted2 = _lift_second(p2.coupling, d, k1, k2)
+    u1 = p1.coupling.reshape(d, k1, d, k1)
+    u2 = p2.coupling.reshape(d, k2, d, k2)
+    # Output axes are (system, ancilla 1, ancilla 2) twice; m is the system
+    # index between the two couplings.
     if first == 1:
-        coupling = lifted2 @ lifted1
+        six = np.einsum("icme,majb->iacjbe", u2, u1, optimize=True)
     else:
-        coupling = lifted1 @ lifted2
-
-    def evolved(meter: Observable, lift) -> Observable:
-        branches = tuple(
-            (value, coupling.conj().T @ lift(proj) @ coupling)
-            for value, proj in meter.spectral.branches
-        )
-        return Observable.from_spectral(SpectralDecomposition(branches))
-
-    eye_sys = np.eye(d)
-    meter1 = evolved(p1.meter, lambda proj: _lift_first(tensor(eye_sys, proj), k2))
-    meter2 = evolved(p2.meter, lambda proj: _lift_second(tensor(eye_sys, proj), d, k1, k2))
+        six = np.einsum("iamb,mcje->iacjbe", u1, u2, optimize=True)
     return JointScenario(
         system_dim=d,
         process1=p1,
         process2=p2,
-        composite_coupling=coupling,
-        evolved_meter1=meter1,
-        evolved_meter2=meter2,
+        composite_coupling=six.reshape(total, total),
     )
 
 
 def joint_distribution(scenario: JointScenario, psi: State) -> JointDistribution:
     """Joint outcome probabilities for both observers in a system state.
 
-    Evaluates products of the two evolved meters' spectral projectors in the
-    composite state; commutation makes every entry real and nonnegative up to
-    rounding.
+    Applies the composite coupling to psi x xi1 x xi2 and reads the result
+    w as a tensor over (system, ancilla 1, ancilla 2). The probability of
+    the pair (x, y) is <w| I x P_x x Q_y |w>, with P_x and Q_y the spectral
+    projectors of the two process meters acting on their own ancilla axes.
+    This equals the product of the evolved meters' projectors in the
+    composite state without building them. Entries are real and
+    nonnegative up to rounding.
     """
     if psi.dim != scenario.system_dim:
         raise ValueError(
             f"state dimension {psi.dim} does not match system dimension {scenario.system_dim}"
         )
-    phi = psi.tensor(scenario.process1.ancilla_state).tensor(scenario.process2.ancilla_state)
-    vec = phi.amplitudes
-    lefts = [(x, proj @ vec) for x, proj in scenario.evolved_meter1.spectral.branches]
-    rights = [(y, proj @ vec) for y, proj in scenario.evolved_meter2.spectral.branches]
-    entries = []
-    for x, left in lefts:
-        for y, right in rights:
-            entries.append(((x, y), clamp_probability(float(np.real(np.vdot(left, right))))))
+    meter1, meter2 = scenario.process1.meter, scenario.process2.meter
+    k1, k2 = meter1.dim, meter2.dim
+    xi1 = scenario.process1.ancilla_state.amplitudes
+    xi2 = scenario.process2.ancilla_state.amplitudes
+    phi = np.einsum("i,a,c->iac", psi.amplitudes, xi1, xi2).reshape(-1)
+    w = (scenario.composite_coupling @ phi).reshape(psi.dim, k1, k2)
+    # Reduced state of the two ancillas, laid out so that the law is a
+    # bilinear form in the flattened projectors:
+    # p(x, y) = sum P_x[a, b] rho[(a, b), (c, e)] Q_y[c, e].
+    rho = np.einsum("iac,ibe->abce", w.conj(), w).reshape(k1 * k1, k2 * k2)
+    left = np.stack(meter1.spectral.projectors).reshape(-1, k1 * k1)
+    right = np.stack(meter2.spectral.projectors).reshape(-1, k2 * k2)
+    probs = (left @ rho @ right.T).real
+    entries = [
+        ((x, y), clamp_probability(float(probs[i, j])))
+        for i, x in enumerate(meter1.labels)
+        for j, y in enumerate(meter2.labels)
+    ]
     return JointDistribution(tuple(entries))
 
 

@@ -1,9 +1,13 @@
 """Tests for two-observer composition, joint statistics, and agreement checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import PAULI_X, PAULI_Z
+from conftest import PAULI_X, PAULI_Z, random_hermitian, random_unitary
 from qmeas.errors import LocalityError, NumericalConsistencyError
 from qmeas.intersubjectivity import (
     IntersubjectivityReport,
@@ -94,6 +98,35 @@ def test_scenario_accepts_commuting_meters():
     assert scenario.total_dim == 2
 
 
+def test_scenario_rejects_a_single_evolved_meter():
+    p = trivial_ancilla_process()
+    with pytest.raises(ValueError):
+        JointScenario(2, p, p, np.eye(2), evolved_meter1=Observable.from_matrix(PAULI_Z))
+
+
+def test_composed_meters_are_kept_after_first_read():
+    scenario = two_pointer_scenario(PAULI_Z)
+    first = scenario.evolved_meter2
+    assert scenario.evolved_meter2 is first
+    assert scenario.evolved_meter1 is scenario.evolved_meter1
+
+
+def test_compose_and_joint_law_peak_memory_at_dimension_eight():
+    # D = 512: one dense composite coupling is D^2 * 16 B = 4 MiB; the bound
+    # admits a handful of such arrays but not one per evolved projector.
+    a = Observable.from_matrix(np.diag(np.arange(8, dtype=float)))
+    p1, p2 = build_vn_process(a), naimark_dilation(Povm.from_observable(a))
+    psi = random_state(8, seed=0)
+    bound = 8 * 512**2 * 16
+    tracemalloc.start()
+    try:
+        joint_distribution(compose_joint_scenario(p1, p2), psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_locality_error_is_a_value_error():
     assert issubclass(LocalityError, ValueError)
 
@@ -151,6 +184,57 @@ def test_coupling_order_is_irrelevant_for_shared_observable():
         assert backward[pair] == pytest.approx(p, abs=1e-10)
 
 
+def _random_process(d, k, rng, degenerate):
+    """Process with a random unitary coupling, a random (non-basis) ancilla
+    state and a random meter; a degenerate meter repeats some eigenvalue."""
+    levels = max(1, k - 1) if degenerate else k
+    values = rng.permutation(np.resize(np.arange(levels, dtype=float), k))
+    basis = random_unitary(k, rng)
+    meter = Observable.from_matrix((basis * values) @ basis.conj().T)
+    xi = State.normalized(rng.normal(size=k) + 1j * rng.normal(size=k))
+    return MeasurementProcess(d, xi, random_unitary(d * k, rng), meter)
+
+
+def _dense_coupling(p1, p2, first):
+    """Both couplings lifted to the threefold space and multiplied densely."""
+    d, k1, k2 = p1.system_dim, p1.ancilla_dim, p2.ancilla_dim
+    total = d * k1 * k2
+    lifted1 = np.kron(p1.coupling, np.eye(k2))
+    four = p2.coupling.reshape(d, k2, d, k2)
+    lifted2 = np.einsum("icjd,ab->iacjbd", four, np.eye(k1)).reshape(total, total)
+    return lifted2 @ lifted1 if first == 1 else lifted1 @ lifted2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([1, 2]),
+    st.booleans(),
+)
+@example(seed=1, d=5, k1=2, k2=4, first=2, degenerate=True)
+@example(seed=2, d=3, k1=4, k2=3, first=1, degenerate=True)
+def test_contracted_joint_law_matches_dense_evolved_meters(seed, d, k1, k2, first, degenerate):
+    rng = np.random.default_rng(seed)
+    p1 = _random_process(d, k1, rng, degenerate)
+    p2 = _random_process(d, k2, rng, degenerate)
+    scenario = compose_joint_scenario(p1, p2, first=first)
+    assert np.max(np.abs(scenario.composite_coupling - _dense_coupling(p1, p2, first))) <= 1e-12
+    psi = random_state(d, seed=seed)
+    phi = psi.tensor(p1.ancilla_state).tensor(p2.ancilla_state).amplitudes
+    joint = joint_distribution(scenario, psi)
+    expected = [
+        ((x, y), float(np.real(np.vdot(e1 @ phi, e2 @ phi))))
+        for x, e1 in scenario.evolved_meter1.spectral.branches
+        for y, e2 in scenario.evolved_meter2.spectral.branches
+    ]
+    assert [pair for pair, _ in joint.entries] == [pair for pair, _ in expected]
+    for (_, got), (_, want) in zip(joint.entries, expected):
+        assert abs(got - want) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # check_intersubjectivity
 
@@ -200,6 +284,15 @@ def test_oit_holds_for_qubit_observable():
 def test_oit_holds_for_qutrit_observable():
     a = Observable.from_matrix(np.diag([1.0, 2.0, 3.0]))
     assert verify_oit(a, trials=10, seed=3).passes
+
+
+def test_oit_holds_for_nondegenerate_dimension_eight():
+    a = Observable.from_matrix(random_hermitian(8, np.random.default_rng(8)))
+    assert len(a.labels) == 8
+    summary = verify_oit(a, trials=20, seed=5)
+    assert summary.passes
+    assert summary.max_off_diagonal_mass < 1e-9
+    assert summary.max_born_gap < 1e-9
 
 
 def test_oit_summary_replays_exactly():
