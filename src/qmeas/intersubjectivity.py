@@ -2,14 +2,14 @@
 
 Two measurement processes that share the system but own separate ancillas
 are composed into one scenario by applying the couplings sequentially on
-the threefold space. The evolved meters then commute by construction: each
-process meter acts on its own ancilla factor, and both are conjugated by
-the same composite coupling. So a joint outcome distribution exists. It is
-read from the state tensor, coupling applied to system state x ancilla
-states, by contracting each meter's projectors on its own ancilla axis;
-the dense evolved meters are built only when read, at O(n D^3) cost. The
-checks here quantify how much probability the two observers assign to
-unequal outcomes.
+the threefold space. The joint outcome law is read from the state tensor,
+coupling applied to system state x ancilla states, by contracting each
+meter's projectors on its own ancilla axis. The evolved meters, each
+process meter conjugated by the composite coupling, commute by
+construction: each acts on its own ancilla factor before the conjugation.
+They are built densely, at O(n D^3) cost, only when read. The checks here
+quantify how much probability the two observers assign to unequal
+outcomes.
 
 For processes that reproduce the same sharp observable that off-diagonal
 mass vanishes: both observers always read the same value. A pair of
@@ -19,6 +19,7 @@ is essential: each observer sees a fair coin, independently of the other.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,6 @@ import numpy as np
 from .errors import LocalityError, NumericalConsistencyError
 from .linalg import (
     PRODUCT_DIM_GUARD,
-    SpectralDecomposition,
     State,
     UNITARY_TOL,
     as_complex_matrix,
@@ -38,10 +38,16 @@ from .observables import (
     DEFAULT_LABEL_TOL,
     Observable,
     Povm,
+    _born_table,
     born_probabilities,
     clamp_probability,
 )
-from .processes import MeasurementProcess, check_probability_reproducibility, naimark_dilation
+from .processes import (
+    MeasurementProcess,
+    _evolved,
+    check_probability_reproducibility,
+    naimark_dilation,
+)
 from .vonneumann import build_vn_process
 
 #: Frobenius bound on the commutator of the two evolved meters.
@@ -54,41 +60,10 @@ DEFAULT_AGREEMENT_TOL = 1e-9
 JOINT_SUM_TOL = 1e-10
 
 
-class _EvolvedMeter:
-    """Dataclass field for an evolved meter that callers may omit.
-
-    A meter passed to the constructor is stored as given. An omitted one
-    (None) is built densely, together with its partner, on first read and
-    kept from then on.
-    """
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, scenario, owner=None):
-        if scenario is None:  # class access: dataclass reads the default here
-            return None
-        if scenario.__dict__[self.name] is None:
-            scenario._build_evolved_meters()
-        return scenario.__dict__[self.name]
-
-    def __set__(self, scenario, meter) -> None:
-        scenario.__dict__[self.name] = meter
-
-
 def _check_commute(m1: Observable, m2: Observable) -> None:
     commutator_norm = float(np.linalg.norm(m1.matrix @ m2.matrix - m2.matrix @ m1.matrix))
     if commutator_norm > COMMUTATOR_TOL:
         raise LocalityError(f"evolved meters do not commute: Frobenius norm {commutator_norm:.3e}")
-
-
-def _evolve(coupling: np.ndarray, meter: Observable, lift) -> Observable:
-    """Meter conjugated by the coupling after lifting each projector."""
-    branches = tuple(
-        (value, coupling.conj().T @ lift(proj) @ coupling)
-        for value, proj in meter.spectral.branches
-    )
-    return Observable.from_spectral(SpectralDecomposition(branches))
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,34 +79,23 @@ class JointScenario:
     its own ancilla factor and conjugated by the composite coupling. They
     commute by construction: the lifted meters act on distinct ancilla
     factors, so they commute, and conjugating both by the same unitary
-    keeps that. Meters passed in are checked to commute within
-    COMMUTATOR_TOL (else ``LocalityError``) and are otherwise taken as
-    given. Omitted meters are built densely on first read, at O(n D^3) cost
-    for n branches in composite dimension D, checked the same way and kept.
+    keeps that. They are derived from the processes and the coupling alone:
+    built densely on first read, at O(n D^3) cost for n branches in
+    composite dimension D, checked to commute within COMMUTATOR_TOL (else
+    ``LocalityError``) and kept.
     """
 
     system_dim: int
     process1: MeasurementProcess
     process2: MeasurementProcess
     composite_coupling: np.ndarray
-    evolved_meter1: Observable | None = _EvolvedMeter()
-    evolved_meter2: Observable | None = _EvolvedMeter()
 
     def __post_init__(self) -> None:
-        total = self.total_dim
         coupling = as_complex_matrix(self.composite_coupling, "composite coupling").copy()
-        if coupling.shape != (total, total):
+        if coupling.shape != (self.total_dim, self.total_dim):
             raise ValueError("composite coupling does not match the threefold dimension")
         if not is_unitary(coupling):
             raise ValueError(f"composite coupling is not unitary within {UNITARY_TOL}")
-        # Read the stored meters directly: the attributes would build them.
-        meters = [self.__dict__["evolved_meter1"], self.__dict__["evolved_meter2"]]
-        if meters.count(None) == 1:
-            raise ValueError("pass both evolved meters or neither")
-        if meters[0] is not None:
-            if meters[0].dim != total or meters[1].dim != total:
-                raise ValueError("evolved meters must act on the full composite space")
-            _check_commute(*meters)
         coupling.setflags(write=False)
         object.__setattr__(self, "composite_coupling", coupling)
 
@@ -139,19 +103,21 @@ class JointScenario:
     def total_dim(self) -> int:
         return self.system_dim * self.process1.ancilla_dim * self.process2.ancilla_dim
 
-    def _build_evolved_meters(self) -> None:
-        d, k1 = self.system_dim, self.process1.ancilla_dim
-        k2 = self.process2.ancilla_dim
-        meter1 = _evolve(
-            self.composite_coupling,
-            self.process1.meter,
-            lambda proj: tensor(tensor(np.eye(d), proj), np.eye(k2)),
-        )
-        meter2 = _evolve(
-            self.composite_coupling, self.process2.meter, lambda proj: tensor(np.eye(d * k1), proj)
-        )
+    @functools.cached_property
+    def _evolved_meters(self) -> tuple[Observable, Observable]:
+        d, k1, k2 = self.system_dim, self.process1.ancilla_dim, self.process2.ancilla_dim
+        meter1 = _evolved(self.composite_coupling, self.process1.meter, d, k2)
+        meter2 = _evolved(self.composite_coupling, self.process2.meter, d * k1, 1)
         _check_commute(meter1, meter2)
-        self.__dict__.update(evolved_meter1=meter1, evolved_meter2=meter2)
+        return meter1, meter2
+
+    @property
+    def evolved_meter1(self) -> Observable:
+        return self._evolved_meters[0]
+
+    @property
+    def evolved_meter2(self) -> Observable:
+        return self._evolved_meters[1]
 
 
 @dataclass(frozen=True)
@@ -266,13 +232,9 @@ def joint_distribution(scenario: JointScenario, psi: State) -> JointDistribution
     xi2 = scenario.process2.ancilla_state.amplitudes
     phi = np.einsum("i,a,c->iac", psi.amplitudes, xi1, xi2).reshape(-1)
     w = (scenario.composite_coupling @ phi).reshape(psi.dim, k1, k2)
-    # Reduced state of the two ancillas, laid out so that the law is a
-    # bilinear form in the flattened projectors:
-    # p(x, y) = sum P_x[a, b] rho[(a, b), (c, e)] Q_y[c, e].
-    rho = np.einsum("iac,ibe->abce", w.conj(), w).reshape(k1 * k1, k2 * k2)
-    left = np.stack(meter1.spectral.projectors).reshape(-1, k1 * k1)
-    right = np.stack(meter2.spectral.projectors).reshape(-1, k2 * k2)
-    probs = (left @ rho @ right.T).real
+    probs = _born_table(
+        w, np.array(meter1.spectral.projectors), np.array(meter2.spectral.projectors)
+    )
     entries = [
         ((x, y), clamp_probability(float(probs[i, j])))
         for i, x in enumerate(meter1.labels)

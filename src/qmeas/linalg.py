@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalConsistencyError
-
 #: Absolute gap below which adjacent eigenvalues are merged into one branch.
 DEFAULT_MERGE_TOL = 1e-8
 
@@ -32,9 +30,6 @@ STATE_NORM_TOL = 1e-12
 
 #: Hermiticity tolerance on eigendecomposition inputs.
 HERMITIAN_TOL = 1e-12
-
-#: Residual norm below which a completion candidate counts as dependent.
-DEPENDENCE_TOL = 1e-8
 
 
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -225,12 +220,12 @@ def schmidt_decompose(
     return coeffs, left_states, right_states
 
 
-def complete_isometry_to_unitary(v, dependence_tol: float = DEPENDENCE_TOL) -> np.ndarray:
+def complete_isometry_to_unitary(v) -> np.ndarray:
     """Extend a matrix with orthonormal columns to a square unitary.
 
-    Standard basis vectors are orthonormalized against the columns found so
-    far; candidates whose residual norm falls below ``dependence_tol`` are
-    skipped. The first columns of the result reproduce the input exactly.
+    The new columns are the orthogonal complement of the input's range, read
+    off one complete QR factorization. The first columns of the result
+    reproduce the input exactly.
     """
     m = as_complex_matrix(v, "isometry")
     rows, cols = m.shape
@@ -239,24 +234,8 @@ def complete_isometry_to_unitary(v, dependence_tol: float = DEPENDENCE_TOL) -> n
     gram = m.conj().T @ m
     if np.max(np.abs(gram - np.eye(cols))) > UNITARY_TOL:
         raise ValueError(f"columns are not orthonormal within {UNITARY_TOL}")
-    basis = [m[:, j].copy() for j in range(cols)]
-    for k in range(rows):
-        if len(basis) == rows:
-            break
-        candidate = np.zeros(rows, dtype=complex)
-        candidate[k] = 1.0
-        # Two Gram-Schmidt passes keep orthogonality tight even for
-        # candidates that barely clear the dependence threshold.
-        for _ in range(2):
-            for column in basis:
-                candidate = candidate - column * np.vdot(column, candidate)
-        norm = float(np.linalg.norm(candidate))
-        if norm <= dependence_tol:
-            continue
-        basis.append(candidate / norm)
-    if len(basis) < rows:
-        raise NumericalConsistencyError("failed to complete the isometry to a unitary")
-    return np.column_stack(basis)
+    q, _ = np.linalg.qr(m, mode="complete")
+    return np.hstack([m, q[:, cols:]])
 
 
 def random_state(dim: int, seed: int) -> State:

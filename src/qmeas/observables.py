@@ -185,23 +185,42 @@ class Povm:
         return tuple(e for _, e in self.outcomes)
 
 
+def _born_table(w: np.ndarray, left, right) -> np.ndarray:
+    """Born table <w| I x L_x x R_y |w> over every pair of operators.
+
+    ``w`` is a state tensor of shape (rest, k1, k2); ``left`` stacks n1
+    operators on the k1 axis and ``right`` n2 operators on the k2 axis. The
+    reduced state of the last two axes comes from one matmul, so the cost is
+    O(rest (k1 k2)^2) and no operator is lifted to the full space. A single
+    family passes the 1x1 identity as ``right`` on a k2 = 1 axis. Returns the
+    real (n1, n2) table; entries are probabilities up to rounding.
+    """
+    rest, k1, k2 = w.shape
+    flat = w.reshape(rest, k1 * k2)
+    # rho[(b, a), (e, c)] = sum_i w[i, a, c] conj(w[i, b, e]), laid out so
+    # that p(x, y) = sum L_x[b, a] rho[(b, a), (e, c)] R_y[e, c].
+    rho = (flat.T @ flat.conj()).reshape(k1, k2, k1, k2).transpose(2, 0, 3, 1)
+    rho = rho.reshape(k1 * k1, k2 * k2)
+    return (left.reshape(-1, k1 * k1) @ rho @ right.reshape(-1, k2 * k2).T).real
+
+
 def born_probabilities(a: Observable, psi: State) -> OutcomeDistribution:
     """Distribution of a sharp observable in a state: quadratic forms of the
     spectral projectors."""
     if a.dim != psi.dim:
         raise ValueError(f"observable dimension {a.dim} does not match state dimension {psi.dim}")
-    vec = psi.amplitudes
-    values = [float(np.real(np.vdot(vec, proj @ vec))) for _, proj in a.spectral.branches]
-    return OutcomeDistribution.from_values(a.labels, values)
+    vec = psi.amplitudes.reshape(1, -1, 1)
+    table = _born_table(vec, np.array(a.spectral.projectors), np.ones((1, 1, 1)))
+    return OutcomeDistribution.from_values(a.labels, table[:, 0])
 
 
 def povm_probabilities(p: Povm, psi: State) -> OutcomeDistribution:
     """Distribution of a generalized observable in a state."""
     if p.dim != psi.dim:
         raise ValueError(f"POVM dimension {p.dim} does not match state dimension {psi.dim}")
-    vec = psi.amplitudes
-    values = [float(np.real(np.vdot(vec, effect @ vec))) for effect in p.effects]
-    return OutcomeDistribution.from_values(p.labels, values)
+    vec = psi.amplitudes.reshape(1, -1, 1)
+    table = _born_table(vec, np.array(p.effects), np.ones((1, 1, 1)))
+    return OutcomeDistribution.from_values(p.labels, table[:, 0])
 
 
 def is_resolution_of_identity(p, tol: float = EFFECT_TOL) -> bool:

@@ -1,11 +1,15 @@
 """Indirect measurement processes: ancilla, coupling, meter, and what they induce.
 
-A process couples the system to an ancilla, evolves the meter observable
-back through the coupling, and reads outcome statistics from the composite
-state. Contracting the evolved spectral projectors against the ancilla
-state yields the induced generalized observable on the system alone, which
-is the object that decides whether the process reproduces a sharp
-observable's statistics.
+A process couples the system to an ancilla and reads a meter observable on
+the ancilla. Its statistics are read in the Schrodinger picture: the
+coupling applied to the system state x the ancilla state gives a state
+tensor over (system, ancilla), and the meter projectors are contracted on
+its ancilla axis. Contracting the coupling with the ancilla state gives the
+isometry V = U (I x xi), and V^H (I x P_x) V is the induced generalized
+observable on the system alone, which decides whether the process
+reproduces a sharp observable's statistics. The dense meter evolved back
+through the coupling (``heisenberg_meter``) is kept as the
+Heisenberg-picture reference those contractions are tested against.
 """
 
 from __future__ import annotations
@@ -22,14 +26,13 @@ from .linalg import (
     as_complex_matrix,
     complete_isometry_to_unitary,
     is_unitary,
-    tensor,
 )
 from .observables import (
     DEFAULT_LABEL_TOL,
     Observable,
     OutcomeDistribution,
     Povm,
-    born_probabilities,
+    _born_table,
 )
 
 
@@ -38,7 +41,9 @@ class MeasurementProcess:
     """Ancilla state, coupling unitary, and meter observable for one apparatus.
 
     The coupling acts on the system tensor the ancilla (system factor first);
-    the meter lives on the ancilla alone.
+    the meter lives on the ancilla alone. Statistics and the induced POVM
+    are read from the coupling and the ancilla state directly; only
+    ``heisenberg_meter`` builds the dense evolved meter.
     """
 
     system_dim: int
@@ -71,50 +76,67 @@ class MeasurementProcess:
         return self.system_dim * self.ancilla_dim
 
 
+def _evolved(coupling: np.ndarray, meter: Observable, before: int, after: int) -> Observable:
+    """Dense meter lifted to I_before x meter x I_after and conjugated by the
+    coupling: O(n D^3) for n branches in dimension D, validated in full."""
+    rows = coupling.reshape(before, meter.dim, -1)
+    branches = tuple(
+        (value, coupling.conj().T @ (proj @ rows).reshape(coupling.shape))
+        for value, proj in meter.spectral.branches
+    )
+    return Observable.from_spectral(SpectralDecomposition(branches))
+
+
 def heisenberg_meter(mp: MeasurementProcess) -> Observable:
     """Meter observable evolved back through the coupling.
 
     Each spectral projector of the meter is lifted to the composite space and
     conjugated by the coupling, so outcome labels are carried over exactly and
-    the spectrum is preserved.
+    the spectrum is preserved. This dense operator is the Heisenberg-picture
+    reference: ``outcome_distribution`` and ``induced_povm`` never build it.
     """
-    u = mp.coupling
-    eye_sys = np.eye(mp.system_dim)
-    branches = tuple(
-        (value, u.conj().T @ tensor(eye_sys, proj) @ u)
-        for value, proj in mp.meter.spectral.branches
-    )
-    return Observable.from_spectral(SpectralDecomposition(branches))
+    return _evolved(mp.coupling, mp.meter, mp.system_dim, 1)
+
+
+def _isometry(mp: MeasurementProcess) -> np.ndarray:
+    """V = U (I x xi): the coupling applied to the ancilla state, shape (d k, d)."""
+    d, k = mp.system_dim, mp.ancilla_dim
+    return mp.coupling.reshape(d * k, d, k) @ mp.ancilla_state.amplitudes
 
 
 def outcome_distribution(mp: MeasurementProcess, psi: State) -> OutcomeDistribution:
     """Meter outcome statistics for a system state.
 
-    Evaluates the evolved meter's spectral family in the composite state
-    built from the system state and the ancilla state.
+    Applies the coupling to the system state x the ancilla state and reads
+    the meter's spectral family on the ancilla axis of the result.
     """
     if psi.dim != mp.system_dim:
         raise ValueError(f"state dimension {psi.dim} does not match system dimension {mp.system_dim}")
-    composite = psi.tensor(mp.ancilla_state)
-    return born_probabilities(heisenberg_meter(mp), composite)
+    w = (_isometry(mp) @ psi.amplitudes).reshape(mp.system_dim, mp.ancilla_dim, 1)
+    table = _born_table(w, np.array(mp.meter.spectral.projectors), np.ones((1, 1, 1)))
+    return OutcomeDistribution.from_values(mp.meter.labels, table[:, 0])
 
 
 def induced_povm(mp: MeasurementProcess) -> Povm:
     """Generalized observable the process realizes on the system alone.
 
-    Contracts both ancilla indices of each evolved spectral projector against
-    the ancilla state. The effects inherit the meter's outcome labels and
-    always resolve the identity.
+    Forms the isometry V = U (I x xi) and each effect V^H (I x P_x) V for the
+    meter projectors P_x, at O(n d^2 k (d + k)) cost. The effects inherit the
+    meter's outcome labels and always resolve the identity.
     """
-    evolved = heisenberg_meter(mp)
     d, k = mp.system_dim, mp.ancilla_dim
-    xi = mp.ancilla_state.amplitudes
-    outcomes = []
-    for value, proj in evolved.spectral.branches:
-        four = proj.reshape(d, k, d, k)
-        effect = np.einsum("a,iajb,b->ij", xi.conj(), four, xi)
-        outcomes.append((value, (effect + effect.conj().T) / 2))
-    return Povm(tuple(outcomes))
+    v = _isometry(mp)
+    projectors = np.array(mp.meter.spectral.projectors)
+    # (I x P_x) V for every branch at once, as batched matmuls on the
+    # ancilla index of V's rows.
+    lifted = (projectors[:, None] @ v.reshape(d, k, d)).reshape(-1, d * k, d)
+    effects = v.conj().T @ lifted
+    return Povm(
+        tuple(
+            (value, (effect + effect.conj().T) / 2)
+            for value, effect in zip(mp.meter.labels, effects)
+        )
+    )
 
 
 def effect_gaps(

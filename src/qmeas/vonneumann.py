@@ -22,7 +22,7 @@ from .linalg import (
     schmidt_decompose,
     tensor,
 )
-from .observables import Observable, clamp_probability
+from .observables import Observable, _born_table, clamp_probability
 from .processes import MeasurementProcess
 
 #: Branch count up to which the pairing search enumerates all injections.
@@ -114,16 +114,12 @@ def _joint_matrix(a1: Observable, a2: Observable, phi: State) -> np.ndarray:
         raise ValueError(
             f"state dimension {phi.dim} does not factor as {a1.dim} x {a2.dim}"
         )
-    vec = phi.amplitudes
-    eye1 = np.eye(a1.dim)
-    eye2 = np.eye(a2.dim)
-    lefts = [tensor(proj, eye2) @ vec for proj in a1.spectral.projectors]
-    rights = [tensor(eye1, proj) @ vec for proj in a2.spectral.projectors]
-    joint = np.empty((len(lefts), len(rights)))
-    for k, left in enumerate(lefts):
-        for m, right in enumerate(rights):
-            joint[k, m] = clamp_probability(float(np.real(np.vdot(left, right))))
-    return joint
+    table = _born_table(
+        phi.amplitudes.reshape(1, a1.dim, a2.dim),
+        np.array(a1.spectral.projectors),
+        np.array(a2.spectral.projectors),
+    )
+    return np.array([[clamp_probability(float(p)) for p in row] for row in table])
 
 
 def _best_pairing(joint: np.ndarray) -> tuple[tuple[int, int], ...]:

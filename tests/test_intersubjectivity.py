@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PAULI_X, PAULI_Z, random_hermitian, random_unitary
+from conftest import PAULI_Z, random_hermitian, random_meter_process
 from qmeas.errors import LocalityError, NumericalConsistencyError
 from qmeas.intersubjectivity import (
     IntersubjectivityReport,
@@ -78,30 +78,14 @@ def test_mixed_construction_pair_commutes():
     assert np.linalg.norm(m1 @ m2 - m2 @ m1) < 1e-9
 
 
-def test_scenario_rejects_noncommuting_meters():
+def test_scenario_meters_are_derived_from_its_processes():
+    # A trivial k=1 process with meter [[0]]: the evolved meters, like the
+    # joint law, can only carry the label 0.
     p = trivial_ancilla_process()
-    with pytest.raises(LocalityError):
-        JointScenario(
-            system_dim=2,
-            process1=p,
-            process2=p,
-            composite_coupling=np.eye(2),
-            evolved_meter1=Observable.from_matrix(PAULI_X),
-            evolved_meter2=Observable.from_matrix(PAULI_Z),
-        )
-
-
-def test_scenario_accepts_commuting_meters():
-    p = trivial_ancilla_process()
-    z = Observable.from_matrix(PAULI_Z)
-    scenario = JointScenario(2, p, p, np.eye(2), z, z)
-    assert scenario.total_dim == 2
-
-
-def test_scenario_rejects_a_single_evolved_meter():
-    p = trivial_ancilla_process()
-    with pytest.raises(ValueError):
-        JointScenario(2, p, p, np.eye(2), evolved_meter1=Observable.from_matrix(PAULI_Z))
+    scenario = JointScenario(2, p, p, np.eye(2))
+    assert scenario.evolved_meter1.labels == p.meter.labels
+    assert scenario.evolved_meter2.labels == p.meter.labels
+    assert joint_distribution(scenario, State.basis(2, 1)).as_dict() == {(0.0, 0.0): 1.0}
 
 
 def test_composed_meters_are_kept_after_first_read():
@@ -184,17 +168,6 @@ def test_coupling_order_is_irrelevant_for_shared_observable():
         assert backward[pair] == pytest.approx(p, abs=1e-10)
 
 
-def _random_process(d, k, rng, degenerate):
-    """Process with a random unitary coupling, a random (non-basis) ancilla
-    state and a random meter; a degenerate meter repeats some eigenvalue."""
-    levels = max(1, k - 1) if degenerate else k
-    values = rng.permutation(np.resize(np.arange(levels, dtype=float), k))
-    basis = random_unitary(k, rng)
-    meter = Observable.from_matrix((basis * values) @ basis.conj().T)
-    xi = State.normalized(rng.normal(size=k) + 1j * rng.normal(size=k))
-    return MeasurementProcess(d, xi, random_unitary(d * k, rng), meter)
-
-
 def _dense_coupling(p1, p2, first):
     """Both couplings lifted to the threefold space and multiplied densely."""
     d, k1, k2 = p1.system_dim, p1.ancilla_dim, p2.ancilla_dim
@@ -218,8 +191,8 @@ def _dense_coupling(p1, p2, first):
 @example(seed=2, d=3, k1=4, k2=3, first=1, degenerate=True)
 def test_contracted_joint_law_matches_dense_evolved_meters(seed, d, k1, k2, first, degenerate):
     rng = np.random.default_rng(seed)
-    p1 = _random_process(d, k1, rng, degenerate)
-    p2 = _random_process(d, k2, rng, degenerate)
+    p1 = random_meter_process(d, k1, rng, degenerate)
+    p2 = random_meter_process(d, k2, rng, degenerate)
     scenario = compose_joint_scenario(p1, p2, first=first)
     assert np.max(np.abs(scenario.composite_coupling - _dense_coupling(p1, p2, first))) <= 1e-12
     psi = random_state(d, seed=seed)

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hermitian
-from qmeas.errors import NumericalConsistencyError
 from qmeas.linalg import (
+    UNITARY_TOL,
     State,
     SpectralDecomposition,
     complete_isometry_to_unitary,
     hermitian_eig,
+    is_unitary,
     random_state,
     schmidt_decompose,
     tensor,
@@ -267,6 +268,16 @@ def test_complete_isometry_single_column():
     u = complete_isometry_to_unitary(v)
     np.testing.assert_allclose(u[:, 0], [0.0, 1.0], atol=1e-14)
     np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
+
+
+def test_complete_isometry_at_dimension_256_keeps_columns_bit_for_bit():
+    # d * n = 256 as in a d=16, n=16 dilation
+    rng = np.random.default_rng(16)
+    v, _ = np.linalg.qr(rng.normal(size=(256, 16)) + 1j * rng.normal(size=(256, 16)))
+    u = complete_isometry_to_unitary(v)
+    assert u.shape == (256, 256)
+    assert np.array_equal(u[:, :16], v)
+    assert is_unitary(u, UNITARY_TOL)
 
 
 def test_complete_isometry_rejects_non_isometry():

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PAULI_Z, random_hermitian, random_povm_outcomes, random_unitary
+import qmeas.processes
+from conftest import (
+    PAULI_Z,
+    random_meter,
+    random_meter_process,
+    random_povm_outcomes,
+    random_unitary,
+)
+from qmeas.intersubjectivity import verify_oit
 from qmeas.linalg import State, random_state, tensor
 from qmeas.observables import (
     Observable,
@@ -23,7 +31,7 @@ from qmeas.processes import (
     naimark_dilation,
     outcome_distribution,
 )
-from qmeas.vonneumann import build_vn_process
+from qmeas.vonneumann import build_vn_process, check_observable_entanglement
 
 
 def identity_process(a: Observable) -> MeasurementProcess:
@@ -290,3 +298,55 @@ def test_dilation_round_trip_property(seed, dim, n):
     assert got.labels == p.labels
     for a, b in zip(got.effects, p.effects):
         assert np.linalg.norm(a - b) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# state-tensor statistics against the dense Heisenberg-picture reference
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=5),
+    st.booleans(),
+)
+def test_state_tensor_statistics_match_dense_heisenberg_meter(seed, d, k, degenerate):
+    rng = np.random.default_rng(seed)
+    mp = random_meter_process(d, k, rng, degenerate)
+    evolved = heisenberg_meter(mp).spectral.branches
+    psi = random_state(d, seed=seed)
+    phi = psi.tensor(mp.ancilla_state).amplitudes
+    got = outcome_distribution(mp, psi).entries
+    assert [x for x, _ in got] == [x for x, _ in evolved]
+    for (_, p), (_, proj) in zip(got, evolved):
+        assert abs(p - np.vdot(phi, proj @ phi).real) <= 1e-12
+
+    xi = mp.ancilla_state.amplitudes
+    induced = induced_povm(mp)
+    assert induced.labels == tuple(x for x, _ in evolved)
+    for effect, (_, proj) in zip(induced.effects, evolved):
+        want = np.einsum("a,iajb,b->ij", xi.conj(), proj.reshape(d, k, d, k), xi)
+        assert np.max(np.abs(effect - want)) <= 1e-12
+
+    a1, a2 = random_meter(d, rng, degenerate), mp.meter
+    chi = random_state(d * k, seed=seed + 1)
+    vec = chi.amplitudes
+    lifted = [
+        [np.vdot(vec, np.kron(p, q) @ vec).real for q in a2.spectral.projectors]
+        for p in a1.spectral.projectors
+    ]
+    assert np.max(np.abs(check_observable_entanglement(a1, a2, chi).joint - lifted)) <= 1e-12
+
+
+def test_statistics_never_build_the_dense_heisenberg_meter(monkeypatch):
+    def refuse(mp):
+        raise AssertionError("dense Heisenberg meter built")
+
+    monkeypatch.setattr(qmeas.processes, "heisenberg_meter", refuse)
+    a = Observable.from_matrix(np.diag([1.0, 2.0, 3.0]))
+    mp = naimark_dilation(Povm.from_observable(a))
+    assert induced_povm(mp).labels == a.labels
+    assert outcome_distribution(mp, random_state(3, seed=0)).as_dict().keys() == set(a.labels)
+    assert effect_gaps(mp, a) is not None
+    assert verify_oit(a, trials=3, seed=0).passes
