@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,49 @@ DEFAULT_SEED = 0
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 1000
 
+# Without indent the standard library encodes through its C accelerator.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _chunks(obj, level: int):
+    """Yield the text of ``json.dumps(obj, sort_keys=True, indent=2)`` for a
+    JSON tree whose dict keys are str, nested ``level`` indents deep.
+
+    A list of nonempty lists of numbers is one chunk: one C call encodes it
+    and two replacements re-indent it, since number tokens hold no ", ", "["
+    or "]". Yielding pieces keeps at most two copies of the text alive.
+    """
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        yield _ENCODER.encode(obj)
+        return
+    outer, inner = "\n" + "  " * level, "\n" + "  " * (level + 1)
+    if isinstance(obj, dict):
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            yield ("," if i else "{") + inner + _ENCODER.encode(key) + ": "
+            yield from _chunks(value, level + 1)
+        yield outer + "}"
+    elif (
+        set(map(type, obj)) == {list}
+        and all(obj)
+        and set(map(type, chain.from_iterable(obj))) <= {int, float, bool}
+    ):
+        deeper = inner + "  "
+        rows = _ENCODER.encode(obj)[2:-2]
+        rows = rows.replace("], [", inner + "]," + inner + "[" + deeper)
+        yield "[" + inner + "[" + deeper
+        yield rows.replace(", ", "," + deeper)
+        yield inner + "]" + outer + "]"
+    else:
+        for i, value in enumerate(obj):
+            yield ("," if i else "[") + inner
+            yield from _chunks(value, level + 1)
+        yield outer + "]"
+
+
+def _dumps(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` through the C encoder."""
+    return "".join(_chunks(obj, 0))
+
 
 @dataclass
 class RunReport:
@@ -53,7 +97,7 @@ class RunReport:
             "metrics": self.metrics,
             "details": self.details,
         }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return _dumps(payload)
 
     def to_text(self) -> str:
         lines = [f"{self.command}: {'PASS' if self.passed else 'FAIL'}"]
@@ -76,10 +120,35 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _float(value, path: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        _fail(path, "number is too large for a float")
+
+
 def _decode_complex(value, path: str) -> complex:
     if not (isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value)):
         _fail(path, "expected a [re, im] number pair")
-    return complex(value[0], value[1])
+    return complex(_float(value[0], path), _float(value[1], path))
+
+
+def _decode_pairs(entries: list, path: str) -> np.ndarray:
+    """Complex vector of a list of [re, im] number pairs, equal bit for bit
+    to ``complex(re, im)`` per pair. The first bad pair is named by index."""
+    if (
+        set(map(type, entries)) <= {list}
+        and set(map(len, entries)) <= {2}
+        and set(map(type, chain.from_iterable(entries))) <= {int, float}
+    ):
+        try:
+            return np.fromiter(chain.from_iterable(entries), float, 2 * len(entries)).view(complex)
+        except OverflowError:
+            pass  # an integer beyond float range: the scan below names it
+    return np.array(
+        [_decode_complex(entry, f"{path}[{i}]") for i, entry in enumerate(entries)],
+        dtype=complex,
+    )
 
 
 def _decode_matrix(obj, path: str) -> np.ndarray:
@@ -90,20 +159,16 @@ def _decode_matrix(obj, path: str) -> np.ndarray:
         _fail(path, "rows and cols must be positive integers")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         _fail(path, f"entries must hold rows*cols = {rows * cols} complex pairs (row-major)")
-    data = [_decode_complex(entry, f"{path}.entries[{i}]") for i, entry in enumerate(entries)]
-    return np.array(data, dtype=complex).reshape(rows, cols)
+    return _decode_pairs(entries, f"{path}.entries").reshape(rows, cols)
 
 
 def _decode_state(obj, path: str) -> State:
     if not isinstance(obj, dict) or not isinstance(obj.get("amplitudes"), list):
         _fail(path, "expected an object with an amplitudes list")
-    amps = [
-        _decode_complex(entry, f"{path}.amplitudes[{i}]")
-        for i, entry in enumerate(obj["amplitudes"])
-    ]
-    if not amps:
+    amps = _decode_pairs(obj["amplitudes"], f"{path}.amplitudes")
+    if not amps.size:
         _fail(path, "amplitudes must be nonempty")
-    return State(np.array(amps, dtype=complex))
+    return State(amps)
 
 
 def _decode_observable(obj, path: str) -> Observable:
@@ -121,7 +186,10 @@ def _decode_povm(obj, path: str) -> Povm:
         if not isinstance(outcome, dict) or not _is_number(outcome.get("label")):
             _fail(where, "expected an object with a numeric label and an effect")
         outcomes.append(
-            (float(outcome["label"]), _decode_matrix(outcome.get("effect"), f"{where}.effect"))
+            (
+                _float(outcome["label"], f"{where}.label"),
+                _decode_matrix(outcome.get("effect"), f"{where}.effect"),
+            )
         )
     return Povm(tuple(outcomes))
 
@@ -140,17 +208,18 @@ def _decode_process(obj, path: str) -> MeasurementProcess:
     )
 
 
+def _encode_pairs(values: np.ndarray) -> list:
+    """Row-major [re, im] float pairs of a complex array."""
+    return np.stack([values.real, values.imag], -1).reshape(-1, 2).tolist()
+
+
 def _encode_matrix(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "entries": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
-    }
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": _encode_pairs(m)}
 
 
 def _encode_state(s: State) -> dict:
-    return {"amplitudes": [[float(z.real), float(z.imag)] for z in s.amplitudes]}
+    return {"amplitudes": _encode_pairs(s.amplitudes)}
 
 
 def _encode_povm(p: Povm) -> dict:
@@ -181,7 +250,7 @@ def _setting(args, payload: dict, name: str, default, kind):
             _fail(name, "must be an integer")
         if kind is float and not _is_number(value):
             _fail(name, "must be a number")
-        return kind(value)
+        return _float(value, name) if kind is float else kind(value)
     return default
 
 

@@ -1,11 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import PAULI_Z
+from conftest import PAULI_Z, random_povm_outcomes
 from qmeas import cli
 from qmeas.errors import NumericalConsistencyError
 from qmeas.linalg import is_unitary
@@ -373,3 +376,155 @@ def test_sample_count_from_file_overridden_by_flag(tmp_path, capsys):
     code, out, _ = run(capsys, ["sample", "--input", path, "--trials", "20", "--json"])
     assert code == 0
     assert json.loads(out)["metrics"]["samples"] == 20
+
+
+# ---------------------------------------------------------------------------
+# JSON encoding: byte-identical to the standard library's indented dumps
+
+json_numbers = (
+    st.integers()
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16])
+    | st.booleans()
+)
+json_strings = st.text() | st.sampled_from(['", "', '"], ["', "], ["])
+number_tables = st.lists(st.lists(json_numbers, min_size=1), min_size=1)
+json_trees = st.recursive(
+    st.none() | json_numbers | json_strings | number_tables,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(json_strings, children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(json_trees)
+@example([[]])
+@example([[1, 2.5, True], [-0.0, math.nan, 5e-324, 1e16, -math.inf]])
+@example([[1, "], ["], [2, '", "']])
+@example({"a": [], "b": {}, "c": [{"d": [[1, 2], [3]]}, {}], "e": [[False, None]]})
+def test_dumps_matches_stdlib_indented_dumps(tree):
+    assert cli._dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+def golden_payloads():
+    rng = np.random.default_rng(16)
+    povm = [
+        {"label": label, "effect": encode_matrix(effect)}
+        for label, effect in random_povm_outcomes(16, 4, rng)
+    ]
+    observable = {"matrix": encode_matrix(PAULI_Z)}
+    bell = encode_state(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2))
+    return {
+        "verify-oit": {"observable": observable, "trials": 5},
+        "reproducibility": {
+            "process": pointer_process_payload([1.0, 2.0]),
+            "observable": {"matrix": encode_matrix(np.diag([1.0, 2.0]))},
+        },
+        "induced-povm": {"process": pointer_process_payload([1.0, 2.0, 3.0])},
+        "dilate": {"povm": {"outcomes": povm}},
+        "entangle": {"state": encode_state([0.6, 0.8]), "observable": observable},
+        "check-entanglement": {"observable1": observable, "observable2": observable, "state": bell},
+        "counterexample": None,
+        "sample": sample_payload(),
+    }
+
+
+@pytest.mark.parametrize("command", list(cli._HANDLERS))
+def test_json_report_is_the_stdlib_encoding(tmp_path, capsys, command):
+    payload = golden_payloads()[command]
+    argv = [command, "--json"]
+    if payload is not None:
+        argv += ["--input", write_payload(tmp_path, "in.json", payload)]
+    args = cli._build_parser().parse_args(argv)
+    report = cli._HANDLERS[command](cli._load_payload(args), args)
+    expected = json.dumps(
+        {
+            "command": report.command,
+            "pass": report.passed,
+            "metrics": report.metrics,
+            "details": report.details,
+        },
+        sort_keys=True,
+        indent=2,
+    )
+    assert report.to_json() == expected
+    _, out, _ = run(capsys, argv)
+    assert out == expected + "\n"
+
+
+# ---------------------------------------------------------------------------
+# JSON decoding: exact values, and the path of the first bad entry
+
+
+def matrix_with_entry(index, entry, size=3):
+    entries = [[float(i), 0.0] for i in range(size * size)]
+    entries[index] = entry
+    return {"rows": size, "cols": size, "entries": entries}
+
+
+@pytest.mark.parametrize(
+    "entry", [True, "1.0", [1.0, 0.0, 0.0], [1.0], [True, 0.0], [0.0, "0"], None, {"re": 1.0}]
+)
+def test_bad_complex_entry_is_named_by_index(entry):
+    with pytest.raises(ValueError) as excinfo:
+        cli._decode_matrix(matrix_with_entry(5, entry), "observable.matrix")
+    assert str(excinfo.value) == "observable.matrix.entries[5]: expected a [re, im] number pair"
+    amplitudes = [[0.0, 0.0]] * 7
+    amplitudes[5] = entry
+    with pytest.raises(ValueError) as excinfo:
+        cli._decode_state({"amplitudes": amplitudes}, "state")
+    assert str(excinfo.value) == "state.amplitudes[5]: expected a [re, im] number pair"
+
+
+def test_wrong_entry_count_is_reported():
+    matrix = matrix_with_entry(5, [1.0, 0.0])
+    matrix["entries"].pop()
+    with pytest.raises(ValueError) as excinfo:
+        cli._decode_matrix(matrix, "observable.matrix")
+    assert str(excinfo.value) == (
+        "observable.matrix: entries must hold rows*cols = 9 complex pairs (row-major)"
+    )
+    with pytest.raises(ValueError) as excinfo:
+        cli._decode_state({"amplitudes": []}, "state")
+    assert str(excinfo.value) == "state: amplitudes must be nonempty"
+
+
+def test_decoded_matrix_is_exactly_the_per_entry_complex():
+    entries = [[-0.0, 1], [math.inf, -math.inf], [5e-324, 2**64 + 1], [1e16, -(10**300)]]
+    decoded = cli._decode_matrix({"rows": 2, "cols": 2, "entries": entries}, "m")
+    reference = np.array([complex(re, im) for re, im in entries]).reshape(2, 2)
+    assert decoded.dtype == complex
+    assert np.array_equal(decoded, reference)
+    assert np.signbit(decoded[0, 0].real)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(*[st.integers(-(2**1023), 2**1023) | st.floats(allow_nan=False)] * 2)))
+def test_decoded_pairs_match_complex_bit_for_bit(pairs):
+    entries = [list(pair) for pair in pairs]
+    decoded = cli._decode_pairs(entries, "x")
+    reference = np.array([complex(re, im) for re, im in entries], dtype=complex)
+    assert np.array_equal(decoded.view(np.uint64), reference.view(np.uint64))
+
+
+def oversized_number_cases():
+    z = {"matrix": encode_matrix(PAULI_Z)}
+    entry = {"matrix": matrix_with_entry(0, [10**400, 0.0], size=2)}
+    amplitudes = [[1.0, 0.0], [0.0, 0.0], [0.0, 10**400]]
+    label = {"label": 10**400, "effect": encode_matrix(np.eye(2))}
+    return [
+        ("verify-oit", {"observable": entry}, "observable.matrix.entries[0]"),
+        ("verify-oit", {"observable": z, "tol": 10**400}, "tol"),
+        ("verify-oit", {"observable": z, "label_tol": -(10**400)}, "label_tol"),
+        ("entangle", {"state": {"amplitudes": amplitudes}, "observable": z}, "state.amplitudes[2]"),
+        ("dilate", {"povm": {"outcomes": [label]}}, "povm.outcomes[0].label"),
+    ]
+
+
+@pytest.mark.parametrize("command, payload, where", oversized_number_cases())
+def test_integer_beyond_float_range_exits_2(tmp_path, capsys, command, payload, where):
+    code, out, err = run(capsys, [command, "--input", write_payload(tmp_path, "in.json", payload)])
+    assert code == 2
+    assert out == ""
+    assert f"{where}: number is too large for a float" in err
