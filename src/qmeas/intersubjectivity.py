@@ -11,6 +11,11 @@ They are built densely, at O(n D^3) cost, only when read. The checks here
 quantify how much probability the two observers assign to unequal
 outcomes.
 
+``verify_oit`` evaluates its seeded trials in chunks, each chunk as one
+batch of states through the same Born kernel that reads a single joint law;
+the chunk length keeps every per-chunk array near 2^16 complex entries, so
+its memory does not grow with the trial count.
+
 For processes that reproduce the same sharp observable that off-diagonal
 mass vanishes: both observers always read the same value. A pair of
 processes realizing the uninformative qubit POVM shows the sharp hypothesis
@@ -29,17 +34,19 @@ from .linalg import (
     PRODUCT_DIM_GUARD,
     State,
     UNITARY_TOL,
+    _gaussian_amplitudes,
+    _require_unit_norm,
     as_complex_matrix,
     is_unitary,
-    random_state,
     tensor,
 )
 from .observables import (
     DEFAULT_LABEL_TOL,
+    PROBABILITY_SUM_TOL,
     Observable,
     Povm,
     _born_table,
-    born_probabilities,
+    _require_unit_sum,
     clamp_probability,
 )
 from .processes import (
@@ -58,6 +65,10 @@ DEFAULT_AGREEMENT_TOL = 1e-9
 
 #: A computed joint distribution must sum to 1 within this bound.
 JOINT_SUM_TOL = 1e-10
+
+# verify_oit evaluates its trials in chunks whose largest per-chunk array
+# holds about this many complex entries (1 MiB), whatever the trial count.
+_CHUNK_ENTRIES = 2**16
 
 
 def _check_commute(m1: Observable, m2: Observable) -> None:
@@ -128,11 +139,7 @@ class JointDistribution:
 
     def __post_init__(self) -> None:
         entries = tuple(((float(x), float(y)), float(p)) for (x, y), p in self.entries)
-        total = sum(p for _, p in entries)
-        if abs(total - 1.0) > JOINT_SUM_TOL:
-            raise NumericalConsistencyError(
-                f"joint probabilities sum to {total!r}, off from 1 by more than {JOINT_SUM_TOL}"
-            )
+        _require_unit_sum(sum(p for _, p in entries), JOINT_SUM_TOL, "joint probabilities")
         object.__setattr__(self, "entries", entries)
 
     def as_dict(self) -> dict[tuple[float, float], float]:
@@ -155,10 +162,7 @@ class IntersubjectivityReport:
 
     def __post_init__(self) -> None:
         total = self.off_diagonal_mass + sum(self.diagonal.values())
-        if abs(total - 1.0) > JOINT_SUM_TOL:
-            raise NumericalConsistencyError(
-                f"report masses sum to {total!r}, off from 1 by more than {JOINT_SUM_TOL}"
-            )
+        _require_unit_sum(total, JOINT_SUM_TOL, "report masses")
         if self.passes != (self.off_diagonal_mass <= self.tolerance_used):
             raise ValueError("pass flag contradicts the off-diagonal mass")
 
@@ -211,6 +215,27 @@ def compose_joint_scenario(
     )
 
 
+def _joint_tables(scenario: JointScenario, psi: np.ndarray) -> np.ndarray:
+    """Clamped joint law (see ``joint_distribution``) of each row of the
+    (T, d) array psi, shape (T, n1, n2).
+
+    The composite states C (psi x xi1 x xi2) are psi V^T, with
+    V = C (I x xi1 x xi2) the scenario's (D, d) isometry, read as a
+    (T, d, k1, k2) tensor. Every table must sum to 1 within JOINT_SUM_TOL.
+    """
+    meter1, meter2 = scenario.process1.meter, scenario.process2.meter
+    d, k1, k2 = scenario.system_dim, meter1.dim, meter2.dim
+    xi1 = scenario.process1.ancilla_state.amplitudes
+    xi2 = scenario.process2.ancilla_state.amplitudes
+    v = scenario.composite_coupling.reshape(-1, d, k1 * k2) @ np.outer(xi1, xi2).reshape(-1)
+    w = (psi @ v.T).reshape(-1, d, k1, k2)
+    probs = clamp_probability(
+        _born_table(w, np.array(meter1.spectral.projectors), np.array(meter2.spectral.projectors))
+    )
+    _require_unit_sum(probs.sum(axis=(1, 2)), JOINT_SUM_TOL, "joint probabilities")
+    return probs
+
+
 def joint_distribution(scenario: JointScenario, psi: State) -> JointDistribution:
     """Joint outcome probabilities for both observers in a system state.
 
@@ -226,20 +251,9 @@ def joint_distribution(scenario: JointScenario, psi: State) -> JointDistribution
         raise ValueError(
             f"state dimension {psi.dim} does not match system dimension {scenario.system_dim}"
         )
-    meter1, meter2 = scenario.process1.meter, scenario.process2.meter
-    k1, k2 = meter1.dim, meter2.dim
-    xi1 = scenario.process1.ancilla_state.amplitudes
-    xi2 = scenario.process2.ancilla_state.amplitudes
-    phi = np.einsum("i,a,c->iac", psi.amplitudes, xi1, xi2).reshape(-1)
-    w = (scenario.composite_coupling @ phi).reshape(psi.dim, k1, k2)
-    probs = _born_table(
-        w, np.array(meter1.spectral.projectors), np.array(meter2.spectral.projectors)
-    )
-    entries = [
-        ((x, y), clamp_probability(float(probs[i, j])))
-        for i, x in enumerate(meter1.labels)
-        for j, y in enumerate(meter2.labels)
-    ]
+    probs = _joint_tables(scenario, psi.amplitudes.reshape(1, -1))[0].tolist()
+    labels1, labels2 = scenario.process1.meter.labels, scenario.process2.meter.labels
+    entries = [((x, y), p) for x, row in zip(labels1, probs) for y, p in zip(labels2, row)]
     return JointDistribution(tuple(entries))
 
 
@@ -271,6 +285,11 @@ def check_intersubjectivity(
     )
 
 
+def _check_seed(seed: int) -> None:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+
+
 def verify_oit(
     a: Observable,
     trials: int = 100,
@@ -285,10 +304,23 @@ def verify_oit(
     both as a hard precondition, composes them, and runs the agreement check
     on seeded random states. Also tracks how far the diagonal probabilities
     drift from the Born distribution of ``a``. Per-trial seeds derive from
-    the given seed through numpy's SeedSequence, so summaries replay exactly.
+    the given seed through numpy's SeedSequence, and each trial state is
+    drawn as ``random_state`` draws it, so summaries replay exactly.
+
+    The trials are evaluated in chunks, each as one batch: the chunk's
+    states are normalized as one (T, d) array, and every joint law and Born
+    law of the chunk is read through the one Born kernel with a leading
+    batch axis. Each trial keeps the checks of the per-state functions
+    (``check_intersubjectivity``, ``born_probabilities``): state norm,
+    probability clamping and both sums, with the same bounds and errors.
+    The chunk length follows from the sizes: the largest per-chunk array
+    (composite states, D entries per trial; two-ancilla reduced states,
+    (k1 k2)^2; system reduced states, d^2) holds about 2^16 complex entries,
+    so memory stays bounded whatever the trial count.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    _check_seed(seed)
     first = build_vn_process(a)
     second = naimark_dilation(Povm.from_observable(a))
     for mp in (first, second):
@@ -297,19 +329,31 @@ def verify_oit(
                 "constructed process fails to reproduce the observable it was built for"
             )
     scenario = compose_joint_scenario(first, second)
-    trial_seeds = np.random.SeedSequence(seed).generate_state(trials)
+    d, k1, k2 = a.dim, first.ancilla_dim, second.ancilla_dim
+    chunk = max(1, _CHUNK_ENTRIES // max(d * k1 * k2, (k1 * k2) ** 2, d * d))
+    # agree[i, j]: the observers' labels x_i and y_j count as one value. The
+    # pointer process's meter carries a's labels in a's order, so column i of
+    # the diagonal mass below pairs with a's Born probability of label i.
+    labels1, labels2 = np.array(first.meter.labels), np.array(second.meter.labels)
+    agree = np.abs(labels1[:, None] - labels2[None, :]) <= label_tol
+    projectors = np.array(a.spectral.projectors)
+    trial_seeds = np.random.SeedSequence(seed).generate_state(trials).tolist()
     max_off = 0.0
     max_gap = 0.0
     all_pass = True
-    for trial_seed in trial_seeds:
-        psi = random_state(a.dim, int(trial_seed))
-        report = check_intersubjectivity(scenario, psi, tol=tol, label_tol=label_tol)
-        max_off = max(max_off, report.off_diagonal_mass)
-        all_pass = all_pass and report.passes
-        born = born_probabilities(a, psi)
-        for x, p in born.entries:
-            gap = abs(report.diagonal.get(x, 0.0) - p)
-            max_gap = max(max_gap, gap)
+    for start in range(0, trials, chunk):
+        psi = _gaussian_amplitudes(d, trial_seeds[start : start + chunk])
+        psi /= np.linalg.norm(psi, axis=1)[:, None]
+        _require_unit_norm(np.linalg.norm(psi, axis=1))
+        joint = _joint_tables(scenario, psi)
+        off = np.where(agree, 0.0, joint).sum(axis=(1, 2))
+        diagonal = np.where(agree, joint, 0.0).sum(axis=2)
+        born = _born_table(psi.reshape(-1, 1, d, 1), projectors, np.ones((1, 1, 1)))
+        born = clamp_probability(born[..., 0])
+        _require_unit_sum(born.sum(axis=1), PROBABILITY_SUM_TOL, "probabilities")
+        max_off = max(max_off, float(off.max()))
+        max_gap = max(max_gap, float(np.abs(diagonal - born).max()))
+        all_pass = all_pass and bool(np.all(off <= tol))
     return OitSummary(
         trials=trials,
         seed=seed,
@@ -343,12 +387,14 @@ def sample_outcomes(
 ) -> dict[tuple[float, float], int]:
     """Draw outcome pairs from the joint distribution by inverse CDF.
 
-    Uses numpy's PCG64 stream seeded as given; identical arguments produce
-    identical counts. Only observed pairs appear in the result, so zero draws
-    yield an empty mapping.
+    Uses numpy's PCG64 stream seeded as given (a nonnegative integer, else
+    ``ValueError``); identical arguments produce identical counts. Only
+    observed pairs appear in the result, so zero draws yield an empty
+    mapping.
     """
     if n < 0:
         raise ValueError("sample count must be nonnegative")
+    _check_seed(seed)
     joint = joint_distribution(scenario, psi)
     if n == 0:
         return {}

@@ -76,6 +76,15 @@ def tensor(a, b, max_dim: int = PRODUCT_DIM_GUARD) -> np.ndarray:
     return np.kron(a, b)
 
 
+def _require_unit_norm(norms) -> None:
+    """Raise ValueError unless every norm (a float or an array of them) is 1
+    within STATE_NORM_TOL; the message names the worst one."""
+    off = np.abs(np.asarray(norms, dtype=float) - 1.0)
+    if np.any(off > STATE_NORM_TOL):
+        worst = float(np.ravel(norms)[np.argmax(off)])
+        raise ValueError(f"state norm {worst!r} deviates from 1 by more than {STATE_NORM_TOL}")
+
+
 @dataclass(frozen=True, eq=False)
 class State:
     """Unit vector in a finite-dimensional complex Hilbert space."""
@@ -88,9 +97,7 @@ class State:
             raise ValueError("state amplitudes must form a nonempty 1-D vector")
         if not np.all(np.isfinite(amps)):
             raise ValueError("state amplitudes must be finite")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > STATE_NORM_TOL:
-            raise ValueError(f"state norm {norm!r} deviates from 1 by more than {STATE_NORM_TOL}")
+        _require_unit_norm(float(np.linalg.norm(amps)))
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -247,6 +254,12 @@ def random_state(dim: int, seed: int) -> State:
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
-    rng = np.random.default_rng(seed)
-    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return State.normalized(vec)
+    return State.normalized(_gaussian_amplitudes(dim, [seed])[0])
+
+
+def _gaussian_amplitudes(dim: int, seeds) -> np.ndarray:
+    """One complex standard Gaussian row of length dim per seed, shape
+    (len(seeds), dim). Row t takes its real and then its imaginary parts from
+    ``default_rng(seeds[t])``, so it is the unnormalized ``random_state``."""
+    draws = np.array([np.random.default_rng(s).standard_normal((2, dim)) for s in seeds])
+    return draws[:, 0] + 1j * draws[:, 1]

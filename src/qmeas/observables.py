@@ -29,13 +29,31 @@ PROBABILITY_CLAMP_TOL = 1e-12
 DEFAULT_LABEL_TOL = 1e-8
 
 
-def clamp_probability(value: float, clamp_tol: float = PROBABILITY_CLAMP_TOL) -> float:
-    """Clamp rounding noise into [0, 1]; reject anything worse."""
-    if value < -clamp_tol or value > 1.0 + clamp_tol:
+def clamp_probability(value, clamp_tol: float = PROBABILITY_CLAMP_TOL):
+    """Clamp rounding noise into [0, 1]; reject anything worse.
+
+    ``value`` is a float, which comes back as a float, or an ndarray, which
+    is checked and clamped elementwise and comes back as an array of the same
+    shape. The error names the value farthest outside [0, 1]. Values inside
+    [0, 1] are returned unchanged, -0.0 included.
+    """
+    values = np.asarray(value, dtype=float)
+    if np.any((values < -clamp_tol) | (values > 1.0 + clamp_tol)):
+        worst = float(values.flat[np.argmax(np.maximum(-values, values - 1.0))])
         raise NumericalConsistencyError(
-            f"probability {value!r} lies outside [0, 1] by more than {clamp_tol}"
+            f"probability {worst!r} lies outside [0, 1] by more than {clamp_tol}"
         )
-    return min(max(value, 0.0), 1.0)
+    clamped = np.where(values < 0.0, 0.0, np.where(values > 1.0, 1.0, values))
+    return clamped if isinstance(value, np.ndarray) else float(clamped)
+
+
+def _require_unit_sum(totals, tol: float, what: str) -> None:
+    """Raise NumericalConsistencyError unless every total (a float or an
+    array of them) is 1 within tol; the message names the worst one."""
+    off = np.abs(np.asarray(totals, dtype=float) - 1.0)
+    if np.any(off > tol):
+        worst = float(np.ravel(totals)[np.argmax(off)])
+        raise NumericalConsistencyError(f"{what} sum to {worst!r}, off from 1 by more than {tol}")
 
 
 @dataclass(frozen=True)
@@ -54,17 +72,14 @@ class OutcomeDistribution:
         for x, p in entries:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability {p!r} for outcome {x} is outside [0, 1]")
-        total = sum(p for _, p in entries)
-        if abs(total - 1.0) > PROBABILITY_SUM_TOL:
-            raise NumericalConsistencyError(
-                f"probabilities sum to {total!r}, off from 1 by more than {PROBABILITY_SUM_TOL}"
-            )
+        _require_unit_sum(sum(p for _, p in entries), PROBABILITY_SUM_TOL, "probabilities")
         object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_values(cls, labels: Iterable[float], values: Iterable[float]) -> "OutcomeDistribution":
         """Build a distribution from raw computed values, clamping rounding noise."""
-        return cls(tuple((x, clamp_probability(float(p))) for x, p in zip(labels, values)))
+        clamped = clamp_probability(np.fromiter(values, dtype=float)).tolist()
+        return cls(tuple(zip(labels, clamped)))
 
     def as_dict(self) -> dict[float, float]:
         return dict(self.entries)
@@ -188,20 +203,23 @@ class Povm:
 def _born_table(w: np.ndarray, left, right) -> np.ndarray:
     """Born table <w| I x L_x x R_y |w> over every pair of operators.
 
-    ``w`` is a state tensor of shape (rest, k1, k2); ``left`` stacks n1
-    operators on the k1 axis and ``right`` n2 operators on the k2 axis. The
-    reduced state of the last two axes comes from one matmul, so the cost is
-    O(rest (k1 k2)^2) and no operator is lifted to the full space. A single
-    family passes the 1x1 identity as ``right`` on a k2 = 1 axis. Returns the
-    real (n1, n2) table; entries are probabilities up to rounding.
+    ``w`` is a state tensor of shape (rest, k1, k2), or a batch of them of
+    shape (..., rest, k1, k2); ``left`` stacks n1 operators on the k1 axis
+    and ``right`` n2 operators on the k2 axis. The reduced state of the last
+    two axes comes from one matmul per state, so the cost is
+    O(rest (k1 k2)^2) per state and no operator is lifted to the full space.
+    A single family passes the 1x1 identity as ``right`` on a k2 = 1 axis.
+    Returns the real (..., n1, n2) table; entries are probabilities up to
+    rounding.
     """
-    rest, k1, k2 = w.shape
-    flat = w.reshape(rest, k1 * k2)
-    # rho[(b, a), (e, c)] = sum_i w[i, a, c] conj(w[i, b, e]), laid out so
-    # that p(x, y) = sum L_x[b, a] rho[(b, a), (e, c)] R_y[e, c].
-    rho = (flat.T @ flat.conj()).reshape(k1, k2, k1, k2).transpose(2, 0, 3, 1)
-    rho = rho.reshape(k1 * k1, k2 * k2)
-    return (left.reshape(-1, k1 * k1) @ rho @ right.reshape(-1, k2 * k2).T).real
+    *batch, rest, k1, k2 = w.shape
+    flat = w.reshape(-1, rest, k1 * k2)
+    # rho[t, (b, a), (e, c)] = sum_i w[t, i, a, c] conj(w[t, i, b, e]), laid
+    # out so that p(x, y) = sum L_x[b, a] rho[t, (b, a), (e, c)] R_y[e, c].
+    rho = (flat.transpose(0, 2, 1) @ flat.conj()).reshape(-1, k1, k2, k1, k2)
+    rho = rho.transpose(0, 3, 1, 4, 2).reshape(-1, k1 * k1, k2 * k2)
+    table = left.reshape(-1, k1 * k1) @ rho @ right.reshape(-1, k2 * k2).T
+    return table.real.reshape(*batch, *table.shape[1:])
 
 
 def born_probabilities(a: Observable, psi: State) -> OutcomeDistribution:

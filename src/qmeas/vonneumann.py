@@ -119,7 +119,7 @@ def _joint_matrix(a1: Observable, a2: Observable, phi: State) -> np.ndarray:
         np.array(a1.spectral.projectors),
         np.array(a2.spectral.projectors),
     )
-    return np.array([[clamp_probability(float(p)) for p in row] for row in table])
+    return clamp_probability(table)
 
 
 def _best_pairing(joint: np.ndarray) -> tuple[tuple[int, int], ...]:

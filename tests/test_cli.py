@@ -366,6 +366,21 @@ def test_sample_counts_are_deterministic(tmp_path, capsys):
     assert set(counts) <= {(1.0, 1.0), (2.0, 2.0)}
 
 
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("verify-oit", {"observable": {"matrix": encode_matrix(PAULI_Z)}}),
+        ("sample", sample_payload()),
+    ],
+)
+def test_negative_seed_exits_2_naming_the_seed(tmp_path, capsys, command, payload):
+    path = write_payload(tmp_path, "in.json", payload)
+    code, out, err = run(capsys, [command, "--input", path, "--seed", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be a nonnegative integer\n"
+
+
 def test_sample_count_from_file_overridden_by_flag(tmp_path, capsys):
     payload = sample_payload()
     payload["samples"] = 50

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PAULI_Z, random_hermitian, random_meter_process
+from conftest import PAULI_Z, random_hermitian, random_meter_process, random_unitary
+from qmeas import intersubjectivity
 from qmeas.errors import LocalityError, NumericalConsistencyError
 from qmeas.intersubjectivity import (
     IntersubjectivityReport,
@@ -20,7 +21,7 @@ from qmeas.intersubjectivity import (
     verify_oit,
 )
 from qmeas.linalg import State, random_state
-from qmeas.observables import Observable, Povm, povm_probabilities
+from qmeas.observables import Observable, Povm, born_probabilities, povm_probabilities
 from qmeas.processes import MeasurementProcess, induced_povm, naimark_dilation, outcome_distribution
 from qmeas.vonneumann import build_vn_process
 
@@ -195,17 +196,20 @@ def test_contracted_joint_law_matches_dense_evolved_meters(seed, d, k1, k2, firs
     p2 = random_meter_process(d, k2, rng, degenerate)
     scenario = compose_joint_scenario(p1, p2, first=first)
     assert np.max(np.abs(scenario.composite_coupling - _dense_coupling(p1, p2, first))) <= 1e-12
-    psi = random_state(d, seed=seed)
-    phi = psi.tensor(p1.ancilla_state).tensor(p2.ancilla_state).amplitudes
-    joint = joint_distribution(scenario, psi)
-    expected = [
-        ((x, y), float(np.real(np.vdot(e1 @ phi, e2 @ phi))))
-        for x, e1 in scenario.evolved_meter1.spectral.branches
-        for y, e2 in scenario.evolved_meter2.spectral.branches
-    ]
-    assert [pair for pair, _ in joint.entries] == [pair for pair, _ in expected]
-    for (_, got), (_, want) in zip(joint.entries, expected):
-        assert abs(got - want) <= 1e-12
+    states = [random_state(d, seed=seed + t) for t in range(3)]
+    batch = intersubjectivity._joint_tables(scenario, np.array([s.amplitudes for s in states]))
+    for psi, table in zip(states, batch):
+        phi = psi.tensor(p1.ancilla_state).tensor(p2.ancilla_state).amplitudes
+        joint = joint_distribution(scenario, psi)
+        expected = [
+            ((x, y), float(np.real(np.vdot(e1 @ phi, e2 @ phi))))
+            for x, e1 in scenario.evolved_meter1.spectral.branches
+            for y, e2 in scenario.evolved_meter2.spectral.branches
+        ]
+        assert [pair for pair, _ in joint.entries] == [pair for pair, _ in expected]
+        for (_, got), batched, (_, want) in zip(joint.entries, table.ravel(), expected):
+            assert abs(got - want) <= 1e-12
+            assert abs(batched - want) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +284,98 @@ def test_oit_trivial_observable():
 def test_oit_rejects_nonpositive_trials():
     with pytest.raises(ValueError):
         verify_oit(Observable.from_matrix(PAULI_Z), trials=0)
+
+
+def reference_oit(a, trials, seed, label_tol):
+    """The per-trial loop over the public per-state functions that the
+    chunked verify_oit evaluates in batches: (max off mass, max gap, passes)."""
+    scenario = compose_joint_scenario(
+        build_vn_process(a), naimark_dilation(Povm.from_observable(a))
+    )
+    max_off, max_gap, passes = 0.0, 0.0, True
+    for trial_seed in np.random.SeedSequence(seed).generate_state(trials):
+        psi = random_state(a.dim, int(trial_seed))
+        report = check_intersubjectivity(scenario, psi, label_tol=label_tol)
+        max_off = max(max_off, report.off_diagonal_mass)
+        passes = passes and report.passes
+        for x, p in born_probabilities(a, psi).entries:
+            max_gap = max(max_gap, abs(report.diagonal.get(x, 0.0) - p))
+    return max_off, max_gap, passes
+
+
+def rotated_observable(values, seed):
+    basis = random_unitary(len(values), np.random.default_rng(seed))
+    return Observable.from_matrix((basis * np.array(values, dtype=float)) @ basis.conj().T)
+
+
+# (observable, label_tol, trial counts that span several chunks). At d=5 a
+# nondegenerate observable has 5 branches and chunks of 104 trials, four
+# distinct eigenvalues give chunks of 256.
+OIT_CASES = {
+    "trivial-d2": (lambda: Observable.from_matrix(np.eye(2)), 1e-8, ()),
+    "pauli-z": (lambda: Observable.from_matrix(PAULI_Z), 1e-8, ()),
+    "degenerate-d4": (lambda: Observable.from_matrix(np.diag([0.0, 0.0, 1.0, 1.0])), 1e-8, ()),
+    "wide-label-tol-d3": (lambda: Observable.from_matrix(np.diag([1.0, 2.0, 3.0])), 1.0, ()),
+    "nondegenerate-d5": (
+        lambda: Observable.from_matrix(random_hermitian(5, np.random.default_rng(5))),
+        1e-8,
+        (250,),
+    ),
+    "degenerate-d5": (lambda: rotated_observable([0.0, 1.0, 1.0, 2.0, 3.0], 6), 1e-8, (600,)),
+    "wide-label-tol-d5": (lambda: rotated_observable(range(5), 7), 1.5, (250,)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OIT_CASES))
+def test_chunked_oit_matches_the_per_trial_loop(case, monkeypatch):
+    make, label_tol, long_runs = OIT_CASES[case]
+    a = make()
+    chunks = []
+    draw = intersubjectivity._gaussian_amplitudes
+
+    def recording_draw(dim, seeds):
+        chunks.append(list(seeds))
+        return draw(dim, seeds)
+
+    monkeypatch.setattr(intersubjectivity, "_gaussian_amplitudes", recording_draw)
+    for trials in (1, 7, *long_runs):
+        chunks.clear()
+        summary = verify_oit(a, trials=trials, seed=trials, label_tol=label_tol)
+        max_off, max_gap, passes = reference_oit(a, trials, trials, label_tol)
+        assert summary.passes is passes
+        assert abs(summary.max_off_diagonal_mass - max_off) <= 1e-12
+        assert abs(summary.max_born_gap - max_gap) <= 1e-12
+        # Every trial state is random_state's for its SeedSequence seed.
+        seeds = np.random.SeedSequence(trials).generate_state(trials).tolist()
+        assert [s for chunk in chunks for s in chunk] == seeds
+        if trials in long_runs:
+            lengths = [len(chunk) for chunk in chunks]
+            assert len(lengths) >= 3 and lengths[-1] < lengths[0], lengths
+
+
+def test_oit_reads_no_per_state_law(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_oit must not evaluate trials one state at a time")
+
+    for name in ("joint_distribution", "check_intersubjectivity", "born_probabilities"):
+        monkeypatch.setattr(intersubjectivity, name, refuse, raising=False)
+    monkeypatch.setattr("qmeas.observables.born_probabilities", refuse)
+    a = Observable.from_matrix(np.diag([1.0, 2.0, 3.0]))
+    assert verify_oit(a, trials=50, seed=1).passes
+
+
+def test_oit_memory_is_bounded_whatever_the_trial_count():
+    # One unchunked batch of 20,000 trials at d=4 (k1 = k2 = 4) would hold
+    # 20,000 reduced states of 256 complex entries twice over: about 175 MiB.
+    a = Observable.from_matrix(np.diag([0.0, 1.0, 2.0, 3.0]))
+    tracemalloc.start()
+    try:
+        summary = verify_oit(a, trials=20_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.passes
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,15 @@ def test_random_state_deterministic():
     np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
 
 
+def test_random_state_is_the_pcg64_draw_normalized():
+    # Real parts, then imaginary parts, from one default_rng(seed) stream:
+    # verify_oit draws its trial states through the same code.
+    rng = np.random.default_rng(2**40 + 3)
+    vec = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    psi = random_state(5, seed=2**40 + 3)
+    np.testing.assert_array_equal(psi.amplitudes, vec / np.linalg.norm(vec))
+
+
 def test_random_state_distinct_seeds_differ():
     a = random_state(4, seed=0)
     b = random_state(4, seed=1)

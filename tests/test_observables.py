@@ -234,6 +234,18 @@ def test_clamp_rejects_values_above_one():
         clamp_probability(1.0 + 1e-11)
 
 
+def test_clamp_takes_an_array_elementwise():
+    clamped = clamp_probability(np.array([-1e-13, 1.0 + 1e-13, 0.25, -0.0]))
+    assert isinstance(clamped, np.ndarray)
+    assert clamped.tolist() == [0.0, 1.0, 0.25, -0.0]
+    assert np.signbit(clamped[3])
+
+
+def test_clamp_rejects_an_array_naming_its_worst_value():
+    with pytest.raises(NumericalConsistencyError, match=r"probability -2e-11 lies outside"):
+        clamp_probability(np.array([[0.5, -1e-11], [-2e-11, 1.0 + 5e-12]]))
+
+
 def test_outcome_distribution_rejects_bad_total():
     with pytest.raises(NumericalConsistencyError):
         OutcomeDistribution(((0.0, 0.5), (1.0, 0.4)))
