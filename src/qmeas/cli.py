@@ -240,18 +240,20 @@ def _encode_process(mp: MeasurementProcess) -> dict:
 
 
 def _setting(args, payload: dict, name: str, default, kind):
-    """Resolve a numeric setting: explicit flag, then file key, then default."""
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    if name in payload:
+    """Resolve a numeric setting: explicit flag, then file key, then default.
+    A float setting (a tolerance) must be nonnegative and not NaN."""
+    value = getattr(args, name, None)
+    if value is None and name in payload:
         value = payload[name]
         if kind is int and not (isinstance(value, int) and not isinstance(value, bool)):
             _fail(name, "must be an integer")
         if kind is float and not _is_number(value):
             _fail(name, "must be a number")
-        return _float(value, name) if kind is float else kind(value)
-    return default
+        value = _float(value, name) if kind is float else kind(value)
+    value = default if value is None else value
+    if kind is float and not value >= 0.0:
+        _fail(name, f"must be a nonnegative number, got {value!r}")
+    return value
 
 
 def _cmd_verify_oit(payload: dict, args) -> RunReport:

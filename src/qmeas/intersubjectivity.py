@@ -46,12 +46,14 @@ from .observables import (
     Observable,
     Povm,
     _born_table,
+    _labels_agree,
     _require_unit_sum,
     clamp_probability,
 )
 from .processes import (
     MeasurementProcess,
     _evolved,
+    _pointer_meter,
     check_probability_reproducibility,
     naimark_dilation,
 )
@@ -147,7 +149,9 @@ class JointDistribution:
 
     def probability(self, x: float, y: float, label_tol: float = DEFAULT_LABEL_TOL) -> float:
         return sum(
-            p for (a, b), p in self.entries if abs(a - x) <= label_tol and abs(b - y) <= label_tol
+            p
+            for (a, b), p in self.entries
+            if _labels_agree(a, x, label_tol) and _labels_agree(b, y, label_tol)
         )
 
 
@@ -257,6 +261,13 @@ def joint_distribution(scenario: JointScenario, psi: State) -> JointDistribution
     return JointDistribution(tuple(entries))
 
 
+def _agreement(scenario: JointScenario, label_tol: float) -> np.ndarray:
+    """agree[i, j]: the observers' labels x_i and y_j count as one value."""
+    labels1 = np.array(scenario.process1.meter.labels)
+    labels2 = np.array(scenario.process2.meter.labels)
+    return _labels_agree(labels1[:, None], labels2[None, :], label_tol)
+
+
 def check_intersubjectivity(
     scenario: JointScenario,
     psi: State,
@@ -266,17 +277,18 @@ def check_intersubjectivity(
     """Measure the probability that the two observers read different values.
 
     Joint entries whose labels agree within label_tol count as diagonal and
-    are reported per label; everything else accumulates into the
-    off-diagonal mass, which must stay below tol for the check to pass.
+    are summed per first-observer label, for each label with at least one
+    agreeing partner; everything else accumulates into the off-diagonal
+    mass, which must stay below tol for the check to pass. The agreement
+    mask is the one ``verify_oit`` reduces its batched tables with.
     """
-    joint = joint_distribution(scenario, psi)
-    off_mass = 0.0
-    diagonal: dict[float, float] = {}
-    for (x, y), p in joint.entries:
-        if abs(x - y) <= label_tol:
-            diagonal[x] = diagonal.get(x, 0.0) + p
-        else:
-            off_mass += p
+    agree = _agreement(scenario, label_tol)
+    joint = np.array([p for _, p in joint_distribution(scenario, psi).entries])
+    joint = joint.reshape(agree.shape)
+    off_mass = float(np.where(agree, 0.0, joint).sum())
+    masses = np.where(agree, joint, 0.0).sum(axis=1).tolist()
+    labels = scenario.process1.meter.labels
+    diagonal = {x: mass for x, mass, hit in zip(labels, masses, agree.any(axis=1)) if hit}
     return IntersubjectivityReport(
         off_diagonal_mass=off_mass,
         diagonal=diagonal,
@@ -331,11 +343,9 @@ def verify_oit(
     scenario = compose_joint_scenario(first, second)
     d, k1, k2 = a.dim, first.ancilla_dim, second.ancilla_dim
     chunk = max(1, _CHUNK_ENTRIES // max(d * k1 * k2, (k1 * k2) ** 2, d * d))
-    # agree[i, j]: the observers' labels x_i and y_j count as one value. The
-    # pointer process's meter carries a's labels in a's order, so column i of
-    # the diagonal mass below pairs with a's Born probability of label i.
-    labels1, labels2 = np.array(first.meter.labels), np.array(second.meter.labels)
-    agree = np.abs(labels1[:, None] - labels2[None, :]) <= label_tol
+    # The pointer process's meter carries a's labels in a's order, so column i
+    # of the diagonal mass below pairs with a's Born probability of label i.
+    agree = _agreement(scenario, label_tol)
     projectors = np.array(a.spectral.projectors)
     trial_seeds = np.random.SeedSequence(seed).generate_state(trials).tolist()
     max_off = 0.0
@@ -377,8 +387,7 @@ def counterexample_uninformative_povm() -> tuple[Povm, JointScenario]:
     povm = Povm(((0.0, half), (1.0, half)))
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
     coupling = tensor(np.eye(2), hadamard)
-    meter = Observable.from_matrix(np.diag([0.0, 1.0]))
-    process = MeasurementProcess(2, State.basis(2, 0), coupling, meter)
+    process = MeasurementProcess(2, State.basis(2, 0), coupling, _pointer_meter((0.0, 1.0)))
     return povm, compose_joint_scenario(process, process)
 
 

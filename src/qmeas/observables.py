@@ -29,6 +29,12 @@ PROBABILITY_CLAMP_TOL = 1e-12
 DEFAULT_LABEL_TOL = 1e-8
 
 
+def _labels_agree(x, y, label_tol: float):
+    """The package's one label-agreement rule: x and y count as one value when
+    they differ by at most label_tol. Broadcasts over scalars and arrays."""
+    return np.abs(np.subtract(x, y)) <= label_tol
+
+
 def clamp_probability(value, clamp_tol: float = PROBABILITY_CLAMP_TOL):
     """Clamp rounding noise into [0, 1]; reject anything worse.
 
@@ -86,7 +92,7 @@ class OutcomeDistribution:
 
     def probability(self, label: float, label_tol: float = DEFAULT_LABEL_TOL) -> float:
         """Total probability of outcomes within label_tol of the given label."""
-        return sum(p for x, p in self.entries if abs(x - label) <= label_tol)
+        return sum(p for x, p in self.entries if _labels_agree(x, label, label_tol))
 
 
 @dataclass(frozen=True, eq=False)

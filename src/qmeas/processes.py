@@ -33,6 +33,7 @@ from .observables import (
     OutcomeDistribution,
     Povm,
     _born_table,
+    _labels_agree,
 )
 
 
@@ -155,7 +156,7 @@ def effect_gaps(
         return None
     gaps = []
     for (x, effect), (y, proj) in zip(induced, target):
-        if abs(x - y) > label_tol:
+        if not _labels_agree(x, y, label_tol):
             return None
         gaps.append((y, float(np.linalg.norm(effect - proj))))
     return tuple(gaps)
@@ -177,6 +178,13 @@ def check_probability_reproducibility(
     """
     gaps = effect_gaps(mp, a, label_tol)
     return gaps is not None and all(gap <= tol for _, gap in gaps)
+
+
+def _pointer_meter(labels) -> Observable:
+    """Meter reading labels[k] off ancilla basis vector k, branches sorted by label."""
+    basis = np.eye(len(labels), dtype=complex)
+    branches = tuple((labels[k], np.diag(basis[k])) for k in np.argsort(labels))
+    return Observable.from_spectral(SpectralDecomposition(branches))
 
 
 def _effect_sqrt(effect: np.ndarray) -> np.ndarray:
@@ -212,10 +220,4 @@ def naimark_dilation(p: Povm) -> MeasurementProcess:
     rest = [c for c in range(d * n) if c % n != 0]
     coupling[:, pinned] = completed[:, :d]
     coupling[:, rest] = completed[:, d:]
-    branches = []
-    for index, (label, _) in sorted(enumerate(p.outcomes), key=lambda item: item[1][0]):
-        proj = np.zeros((n, n), dtype=complex)
-        proj[index, index] = 1.0
-        branches.append((label, proj))
-    meter = Observable.from_spectral(SpectralDecomposition(tuple(branches)))
-    return MeasurementProcess(d, State.basis(n, 0), coupling, meter)
+    return MeasurementProcess(d, State.basis(n, 0), coupling, _pointer_meter(p.labels))

@@ -5,13 +5,13 @@ index, writing the measured observable's value into a perfectly readable
 register. The resulting system-pointer state is the canonical example of a
 pair of observables whose joint statistics concentrate on matched branches,
 and the checks in this module decide that property for arbitrary states and
-observable pairs.
+observable pairs. Branches are matched by the pairing of largest joint mass,
+found exactly at every branch count by one assignment solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -23,10 +23,7 @@ from .linalg import (
     tensor,
 )
 from .observables import Observable, _born_table, clamp_probability
-from .processes import MeasurementProcess
-
-#: Branch count up to which the pairing search enumerates all injections.
-EXHAUSTIVE_PAIRING_LIMIT = 6
+from .processes import MeasurementProcess, _pointer_meter
 
 #: Default tolerance for the correlation conditions.
 DEFAULT_CORRELATION_TOL = 1e-9
@@ -63,12 +60,6 @@ class EntanglementReport:
         return tuple((self.labels1[k], self.labels2[m]) for k, m in self.pairing)
 
 
-def _basis_projector(dim: int, index: int) -> np.ndarray:
-    proj = np.zeros((dim, dim), dtype=complex)
-    proj[index, index] = 1.0
-    return proj
-
-
 def build_vn_process(a: Observable) -> MeasurementProcess:
     """Measurement process whose coupling shifts a pointer ancilla by the
     measured branch index.
@@ -78,21 +69,12 @@ def build_vn_process(a: Observable) -> MeasurementProcess:
     meter is diagonal in the pointer basis with the observable's eigenvalues
     as labels. The process reproduces the observable's statistics exactly.
     """
-    branches = a.spectral.branches
-    n = len(branches)
-    d = a.dim
-    shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
-    coupling = np.zeros((d * n, d * n), dtype=complex)
-    power = np.eye(n, dtype=complex)
-    for _, proj in branches:
-        coupling += tensor(proj, power)
-        power = shift @ power
-    meter = Observable.from_spectral(
-        SpectralDecomposition(
-            tuple((value, _basis_projector(n, k)) for k, (value, _) in enumerate(branches))
-        )
+    n = len(a.labels)
+    coupling = sum(
+        tensor(proj, np.roll(np.eye(n, dtype=complex), k, axis=0))
+        for k, proj in enumerate(a.spectral.projectors)
     )
-    return MeasurementProcess(d, State.basis(n, 0), coupling, meter)
+    return MeasurementProcess(a.dim, State.basis(n, 0), coupling, _pointer_meter(a.labels))
 
 
 def entangled_state(psi: State, a: Observable) -> State:
@@ -125,32 +107,40 @@ def _joint_matrix(a1: Observable, a2: Observable, phi: State) -> np.ndarray:
 def _best_pairing(joint: np.ndarray) -> tuple[tuple[int, int], ...]:
     """Injective branch pairing maximizing the paired probability mass.
 
-    Exhaustive over all injections while the larger side has at most
-    EXHAUSTIVE_PAIRING_LIMIT branches, greedy (repeatedly taking the largest
-    remaining cell) above that.
+    Exact at every size: the rectangular assignment problem, solved by
+    shortest augmenting paths with row and column potentials (Kuhn 1955;
+    Jonker and Volgenant 1987) in O(n1 n2 min(n1, n2)). A table with more
+    rows than columns is transposed, so every row is matched. Among several
+    maximizing pairings one is returned deterministically; pairs come back
+    sorted.
     """
-    n1, n2 = joint.shape
-    if max(n1, n2) <= EXHAUSTIVE_PAIRING_LIMIT:
-        best, best_mass = None, -1.0
-        if n1 <= n2:
-            for targets in permutations(range(n2), n1):
-                mass = sum(joint[k, m] for k, m in enumerate(targets))
-                if mass > best_mass:
-                    best, best_mass = tuple(enumerate(targets)), mass
-        else:
-            for sources in permutations(range(n1), n2):
-                mass = sum(joint[k, m] for m, k in enumerate(sources))
-                if mass > best_mass:
-                    best, best_mass = tuple((k, m) for m, k in enumerate(sources)), mass
-        return tuple(sorted(best))
-    remaining = joint.copy()
-    pairs = []
-    for _ in range(min(n1, n2)):
-        k, m = np.unravel_index(int(np.argmax(remaining)), remaining.shape)
-        pairs.append((int(k), int(m)))
-        remaining[k, :] = -np.inf
-        remaining[:, m] = -np.inf
-    return tuple(sorted(pairs))
+    flip = joint.shape[0] > joint.shape[1]
+    gain = joint.T if flip else joint
+    n, m = gain.shape
+    # Minimize -gain. Column m is the virtual start of every augmenting path;
+    # row_of[c] is the row matched to column c, -1 while c is free.
+    cost = np.hstack([-gain, np.zeros((n, 1))])
+    u, v = np.zeros(n), np.zeros(m + 1)
+    row_of = np.full(m + 1, -1)
+    for i in range(n):
+        row_of[m], col = i, m
+        slack, prev = np.full(m + 1, np.inf), np.full(m + 1, m)
+        done = np.zeros(m + 1, dtype=bool)
+        while row_of[col] >= 0:
+            done[col] = True
+            row = row_of[col]
+            reduced = cost[row] - u[row] - v
+            better = ~done & (reduced < slack)
+            slack[better], prev[better] = reduced[better], col
+            col = int(np.argmin(np.where(done, np.inf, slack)))
+            delta = slack[col]
+            u[row_of[done]] += delta
+            v[done] -= delta
+            slack[~done] -= delta
+        while col != m:
+            row_of[col], col = row_of[prev[col]], prev[col]
+    pairs = [(int(r), c) for c, r in enumerate(row_of[:m]) if r >= 0]
+    return tuple(sorted((c, r) if flip else (r, c) for r, c in pairs))
 
 
 def check_observable_entanglement(
@@ -161,46 +151,32 @@ def check_observable_entanglement(
 ) -> EntanglementReport:
     """Decide whether two observables are perfectly correlated in a state.
 
-    Five conditions are evaluated under the mass-maximizing branch pairing:
-    every joint probability off the pairing vanishes, the paired
-    probabilities sum to one, each observable's marginal equals the paired
-    joint probability, and both conditional probabilities on paired branches
-    equal one (skipped for pairs whose joint probability is below tol). The
-    state is called entangled for the pair when all five hold within tol.
+    Five conditions are evaluated under the mass-maximizing branch pairing
+    (``_best_pairing``, exact at every size): every joint probability off the
+    pairing vanishes, the paired probabilities sum to one, each observable's
+    marginal equals the paired joint probability, and both conditional
+    probabilities on paired branches equal one (skipped for pairs whose
+    joint probability is below tol). The state is called entangled for the
+    pair when all five hold within tol.
     """
     joint = _joint_matrix(a1, a2, phi)
     pairing = _best_pairing(joint)
-    paired_cells = set(pairing)
-    row_marginal = joint.sum(axis=1)
-    col_marginal = joint.sum(axis=0)
-
-    off_violation = 0.0
-    for k in range(joint.shape[0]):
-        for m in range(joint.shape[1]):
-            if (k, m) not in paired_cells:
-                off_violation = max(off_violation, joint[k, m])
-    paired_mass = sum(joint[k, m] for k, m in pairing)
-    mass_violation = max(0.0, 1.0 - paired_mass)
-    marginal1_violation = max(abs(row_marginal[k] - joint[k, m]) for k, m in pairing)
-    marginal2_violation = max(abs(col_marginal[m] - joint[k, m]) for k, m in pairing)
-    conditional_violation = 0.0
-    for k, m in pairing:
-        if joint[k, m] <= tol:
-            continue
-        conditional_violation = max(
-            conditional_violation,
-            abs(joint[k, m] / row_marginal[k] - 1.0),
-            abs(joint[k, m] / col_marginal[m] - 1.0),
-        )
-
+    rows, cols = np.array(pairing).T
+    paired = joint[rows, cols]
+    off_pairing = joint.copy()
+    off_pairing[rows, cols] = 0.0
+    row_marginal, col_marginal = joint.sum(axis=1)[rows], joint.sum(axis=0)[cols]
+    kept = paired > tol
+    marginals = np.concatenate([row_marginal[kept], col_marginal[kept]])
+    conditionals = np.tile(paired[kept], 2) / marginals
     violations = tuple(
         float(v)
         for v in (
-            off_violation,
-            mass_violation,
-            marginal1_violation,
-            marginal2_violation,
-            conditional_violation,
+            max(0.0, off_pairing.max()),
+            max(0.0, 1.0 - sum(paired.tolist())),
+            np.abs(row_marginal - paired).max(),
+            np.abs(col_marginal - paired).max(),
+            np.abs(conditionals - 1.0).max(initial=0.0),
         )
     )
     results = {name: bool(value <= tol) for name, value in zip(CONDITION_NAMES, violations)}

@@ -381,6 +381,49 @@ def test_negative_seed_exits_2_naming_the_seed(tmp_path, capsys, command, payloa
     assert err == "error: seed must be a nonnegative integer\n"
 
 
+@pytest.mark.parametrize(
+    "flags, name, shown",
+    [
+        (["--tol", "-1"], "tol", "-1.0"),
+        (["--label-tol", "-1"], "label_tol", "-1.0"),
+        (["--tol", "nan"], "tol", "nan"),
+        (["--label-tol", "nan"], "label_tol", "nan"),
+    ],
+)
+def test_negative_or_nan_tolerance_flag_exits_2(tmp_path, capsys, flags, name, shown):
+    path = write_payload(tmp_path, "obs.json", {"observable": {"matrix": encode_matrix(PAULI_Z)}})
+    code, out, err = run(capsys, ["verify-oit", "--input", path] + flags)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {name}: must be a nonnegative number, got {shown}\n"
+
+
+@pytest.mark.parametrize(
+    "command, name, value",
+    [
+        ("verify-oit", "tol", -1e-9),
+        ("verify-oit", "label_tol", math.nan),
+        ("reproducibility", "label_tol", -1.0),
+        ("dilate", "tol", math.nan),
+        ("entangle", "tol", -1),
+        ("counterexample", "tol", -math.inf),
+    ],
+)
+def test_negative_or_nan_tolerance_key_exits_2(tmp_path, capsys, command, name, value):
+    payload = {**(golden_payloads()[command] or {}), name: value}
+    code, out, err = run(capsys, [command, "--input", write_payload(tmp_path, "in.json", payload)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {name}: must be a nonnegative number, got {float(value)!r}\n"
+
+
+def test_infinite_tolerance_is_accepted(tmp_path, capsys):
+    path = write_payload(tmp_path, "obs.json", {"observable": {"matrix": encode_matrix(PAULI_Z)}})
+    code, out, _ = run(capsys, ["verify-oit", "--input", path, "--tol", "inf", "--json"])
+    assert code == 0
+    assert json.loads(out)["metrics"]["tolerance"] == math.inf
+
+
 def test_sample_count_from_file_overridden_by_flag(tmp_path, capsys):
     payload = sample_payload()
     payload["samples"] = 50

@@ -246,6 +246,38 @@ def test_report_rejects_contradictory_pass_flag():
         )
 
 
+# Labels 0.0 and 1.0 sit exactly label_tol = 1.0 apart, and the boundary
+# counts as agreement.
+def test_agreement_boundary_is_inclusive():
+    _, scenario = counterexample_uninformative_povm()
+    psi = State.basis(2, 0)
+    on = check_intersubjectivity(scenario, psi, label_tol=1.0)
+    assert on.off_diagonal_mass == 0.0
+    assert on.passes
+    assert on.diagonal == pytest.approx({0.0: 0.5, 1.0: 0.5}, abs=1e-12)
+    inside = check_intersubjectivity(scenario, psi, label_tol=0.5)
+    assert inside.off_diagonal_mass == pytest.approx(0.5, abs=1e-12)
+    assert inside.diagonal == pytest.approx({0.0: 0.25, 1.0: 0.25}, abs=1e-12)
+
+
+def test_diagonal_keeps_only_labels_with_an_agreeing_partner():
+    p1 = build_vn_process(Observable.from_matrix(np.diag([0.0, 1.0])))
+    p2 = build_vn_process(Observable.from_matrix(np.diag([0.0, 3.0])))
+    psi = State.normalized([1.0, 1.0])
+    report = check_intersubjectivity(compose_joint_scenario(p1, p2), psi, label_tol=0.5)
+    assert list(report.diagonal) == [0.0]
+    assert report.diagonal[0.0] == pytest.approx(0.5, abs=1e-12)
+    assert report.off_diagonal_mass == pytest.approx(0.5, abs=1e-12)
+
+
+def test_joint_probability_window_includes_its_boundary():
+    _, scenario = counterexample_uninformative_povm()
+    joint = joint_distribution(scenario, State.basis(2, 0))
+    assert joint.probability(0.0, 0.0, label_tol=1.0) == pytest.approx(1.0, abs=1e-12)
+    assert joint.probability(0.5, 0.5, label_tol=0.5) == pytest.approx(1.0, abs=1e-12)
+    assert joint.probability(0.0, 0.0, label_tol=0.5) == pytest.approx(0.25, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # verify_oit
 

@@ -260,3 +260,10 @@ def test_outcome_distribution_label_window():
     dist = OutcomeDistribution(((0.0, 0.5), (1e-10, 0.5)))
     assert dist.probability(0.0) == pytest.approx(1.0)
     assert dist.probability(0.0, label_tol=1e-12) == pytest.approx(0.5)
+
+
+def test_outcome_distribution_label_window_includes_its_boundary():
+    dist = OutcomeDistribution(((0.0, 0.25), (1.0, 0.75)))
+    assert dist.probability(0.0, label_tol=1.0) == 1.0
+    assert dist.probability(0.5, label_tol=0.5) == 1.0
+    assert dist.probability(0.5, label_tol=0.25) == 0

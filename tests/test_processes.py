@@ -213,6 +213,24 @@ def test_effect_gaps_label_mismatch_returns_none():
     assert not check_probability_reproducibility(mp, Observable.from_matrix(PAULI_Z))
 
 
+def test_effect_gaps_label_window_includes_its_boundary():
+    # meter labels {0, 1} sit exactly 0.5 from the spectrum {0.5, 1.5}
+    mp = build_vn_process(Observable.from_matrix(np.diag([0.0, 1.0])))
+    a = Observable.from_matrix(np.diag([0.5, 1.5]))
+    gaps = effect_gaps(mp, a, label_tol=0.5)
+    assert gaps is not None
+    assert [label for label, _ in gaps] == [0.5, 1.5]
+    assert check_probability_reproducibility(mp, a, label_tol=0.5)
+    assert effect_gaps(mp, a, label_tol=0.25) is None
+
+
+def test_pointer_meter_reads_each_label_off_its_basis_vector():
+    meter = qmeas.processes._pointer_meter((2.0, -1.0, 0.5))
+    assert meter.labels == (-1.0, 0.5, 2.0)
+    np.testing.assert_array_equal(meter.matrix, np.diag([2.0, -1.0, 0.5]))
+    np.testing.assert_array_equal(meter.spectral.projectors[0], np.diag([0.0, 1.0, 0.0]))
+
+
 def test_effect_gaps_outcome_count_mismatch_returns_none():
     a3 = Observable.from_matrix(np.diag([1.0, 2.0, 3.0]))
     mp = build_vn_process(Observable.from_matrix(np.diag([1.0, 2.0])))

@@ -1,5 +1,7 @@
 """Tests for the pointer-coupling construction and correlation conditions."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from qmeas.observables import Observable, born_probabilities
 from qmeas.processes import check_probability_reproducibility, induced_povm, outcome_distribution
 from qmeas.vonneumann import (
     CONDITION_NAMES,
+    _best_pairing,
     build_vn_process,
     check_observable_entanglement,
     entangled_state,
@@ -192,6 +195,42 @@ def test_mismatched_branch_counts_still_compare():
     assert report.is_entangled
 
 
+def loop_violations(joint, pairing, tol):
+    """The five condition violations by direct loops over the table's cells."""
+    rows, cols = joint.sum(axis=1), joint.sum(axis=0)
+    cells = [(k, m) for k in range(joint.shape[0]) for m in range(joint.shape[1])]
+    conditionals = [
+        abs(joint[k, m] / marginal - 1.0)
+        for k, m in pairing
+        if joint[k, m] > tol
+        for marginal in (rows[k], cols[m])
+    ]
+    return (
+        max([joint[k, m] for k, m in cells if (k, m) not in pairing], default=0.0),
+        max(0.0, 1.0 - sum(joint[k, m] for k, m in pairing)),
+        max(abs(rows[k] - joint[k, m]) for k, m in pairing),
+        max(abs(cols[m] - joint[k, m]) for k, m in pairing),
+        max(conditionals, default=0.0),
+    )
+
+
+def test_conditions_match_a_per_cell_loop():
+    for seed, (d1, d2) in enumerate([(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (1, 3)] * 3):
+        rng = np.random.default_rng(seed)
+        a1 = Observable.from_matrix(random_hermitian(d1, rng))
+        a2 = Observable.from_matrix(random_hermitian(d2, rng))
+        phi = random_state(d1 * d2, seed=seed)
+        if seed % 3 == 1:
+            phi, a2 = entangled_state(random_state(d1, seed=seed), a1), build_vn_process(a1).meter
+        for tol in (1e-9, 0.2):
+            report = check_observable_entanglement(a1, a2, phi, tol=tol)
+            want = loop_violations(report.joint, report.pairing, tol)
+            assert report.max_violation == max(want)
+            assert report.condition_results == {
+                name: value <= tol for name, value in zip(CONDITION_NAMES, want)
+            }
+
+
 def test_entanglement_dimension_mismatch_raises():
     z = Observable.from_matrix(PAULI_Z)
     with pytest.raises(ValueError):
@@ -212,6 +251,71 @@ def test_conditions_agree_when_leading_one_holds():
 
 
 # ---------------------------------------------------------------------------
+# _best_pairing: exact against brute force
+
+
+def brute_force_mass(joint):
+    """Largest paired mass over every injection of the smaller side."""
+    n1, n2 = joint.shape
+    if n1 > n2:
+        return brute_force_mass(joint.T)
+    targets = np.array(list(permutations(range(n2), n1))).reshape(-1, n1)
+    return float(joint[np.arange(n1), targets].sum(axis=1).max())
+
+
+def assert_optimal_pairing(joint):
+    pairing = _best_pairing(joint)
+    rows = [k for k, _ in pairing]
+    cols = [m for _, m in pairing]
+    assert len(pairing) == min(joint.shape)
+    assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
+    assert all(0 <= k < joint.shape[0] and 0 <= m < joint.shape[1] for k, m in pairing)
+    assert list(pairing) == sorted(pairing)
+    assert abs(sum(joint[k, m] for k, m in pairing) - brute_force_mass(joint)) <= 1e-12
+
+
+def test_pairing_is_optimal_for_every_shape_up_to_seven():
+    rng = np.random.default_rng(7)
+    for n1 in range(1, 8):
+        for n2 in range(1, 8):
+            skewed = rng.random((n1, n2)) ** 6
+            assert_optimal_pairing(skewed / skewed.sum())
+            # few distinct values: many maximizing pairings tie
+            assert_optimal_pairing(rng.integers(0, 3, size=(n1, n2)) / 4.0)
+            assert_optimal_pairing(np.zeros((n1, n2)))
+
+
+table_entries = st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.25, 0.5, 1.0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_pairing_matches_brute_force(data):
+    n1, n2 = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    flat = data.draw(st.lists(table_entries, min_size=n1 * n2, max_size=n1 * n2))
+    assert_optimal_pairing(np.array(flat).reshape(n1, n2))
+
+
+def test_seven_branch_pairing_beats_the_greedy_choice():
+    # Taking the largest remaining cell first pairs mass 0.3785 here.
+    joint = np.random.default_rng(0).random((7, 7)) ** 6
+    joint /= joint.sum()
+    pairing = _best_pairing(joint)
+    assert sum(joint[k, m] for k, m in pairing) == pytest.approx(0.404673, abs=1e-6)
+    assert_optimal_pairing(joint)
+
+
+def test_permuted_diagonal_pairs_along_the_permutation():
+    rng = np.random.default_rng(3)
+    for n in (5, 16):
+        perm = rng.permutation(n)
+        joint = np.zeros((n, n))
+        joint[np.arange(n), perm] = rng.uniform(0.5, 1.5, size=n)
+        joint += 1e-17 * rng.random((n, n))
+        assert _best_pairing(joint / joint.sum()) == tuple((k, int(m)) for k, m in enumerate(perm))
+
+
+# ---------------------------------------------------------------------------
 # find_entangled_observables
 
 
@@ -221,6 +325,15 @@ def test_find_observables_for_bell_state():
     assert a1.labels == (1.0, 2.0)
     assert a2.labels == (1.0, 2.0)
     assert check_observable_entanglement(a1, a2, bell).is_entangled
+
+
+def test_find_observables_for_seven_branch_state():
+    phi = random_state(49, seed=11)
+    a1, a2 = find_entangled_observables(phi, 7, 7)
+    assert len(a1.labels) == len(a2.labels) == 7
+    report = check_observable_entanglement(a1, a2, phi)
+    assert report.is_entangled, report.max_violation
+    assert report.pairing == tuple((k, k) for k in range(7))
 
 
 def test_find_observables_for_product_state():
