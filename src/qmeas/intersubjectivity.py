@@ -1,15 +1,16 @@
 """Two observers measuring one system: joint scenarios and outcome agreement.
 
 Two measurement processes that share the system but own separate ancillas
-are composed into one scenario by applying the couplings sequentially on
-the threefold space. The joint outcome law is read from the state tensor,
-coupling applied to system state x ancilla states, by contracting each
-meter's projectors on its own ancilla axis. The evolved meters, each
-process meter conjugated by the composite coupling, commute by
-construction: each acts on its own ancilla factor before the conjugation.
-They are built densely, at O(n D^3) cost, only when read. The checks here
-quantify how much probability the two observers assign to unequal
-outcomes.
+are composed into one scenario through their isometries V = U (I x xi):
+applied one after the other they give the scenario's (D, d) isometry into
+the threefold space, at O(D d^2) cost. The joint outcome law is read from
+the state tensor, that isometry applied to the system state, by
+contracting each meter's projectors on its own ancilla axis. The dense
+D x D composite coupling and the evolved meters, each process meter
+conjugated by it, are built only when read, the meters at O(n D^3) cost;
+they commute by construction: each acts on its own ancilla factor before
+the conjugation. The checks here quantify how much probability the two
+observers assign to unequal outcomes.
 
 ``verify_oit`` evaluates its seeded trials in chunks, each chunk as one
 batch of states through the same Born kernel that reads a single joint law;
@@ -35,6 +36,7 @@ from .linalg import (
     State,
     UNITARY_TOL,
     _gaussian_amplitudes,
+    _is_isometry,
     _require_unit_norm,
     as_complex_matrix,
     is_unitary,
@@ -53,6 +55,7 @@ from .observables import (
 from .processes import (
     MeasurementProcess,
     _evolved,
+    _isometry,
     _pointer_meter,
     check_probability_reproducibility,
     naimark_dilation,
@@ -83,38 +86,65 @@ def _check_commute(m1: Observable, m2: Observable) -> None:
 class JointScenario:
     """Two processes on separate ancillas composed over one system.
 
-    The composite space is system x first ancilla x second ancilla, and the
-    composite coupling must be unitary. The joint law is read from the
-    state tensor (see ``joint_distribution``), so it needs neither evolved
-    meter.
+    The composite space is system x first ancilla x second ancilla; process
+    ``first`` couples first. The data is the (D, d) isometry V, the
+    composite coupling applied to system state x both ancilla states, and
+    V^H V = I must hold within UNITARY_TOL (checked at O(D d^2), else
+    ``ValueError``). The joint law is read from V alone (see
+    ``joint_distribution``).
 
-    ``evolved_meter1``/``evolved_meter2`` are each process meter, lifted to
-    its own ancilla factor and conjugated by the composite coupling. They
-    commute by construction: the lifted meters act on distinct ancilla
-    factors, so they commute, and conjugating both by the same unitary
-    keeps that. They are derived from the processes and the coupling alone:
-    built densely on first read, at O(n D^3) cost for n branches in
-    composite dimension D, checked to commute within COMMUTATOR_TOL (else
-    ``LocalityError``) and kept.
+    The read-only dense ``composite_coupling`` (O(D^3) with its unitarity
+    check) and the evolved meters (each process meter on its own ancilla
+    factor conjugated by it, O(n D^3) for n branches) are built on first
+    read and kept. The coupling must be unitary and reproduce V at the
+    ancilla states within UNITARY_TOL (else ``ValueError``), so a scenario
+    cannot hold a joint law its processes contradict. The meters commute by
+    construction, being lifted to distinct factors and conjugated by one
+    unitary, and are checked to within COMMUTATOR_TOL (else
+    ``LocalityError``).
     """
 
     system_dim: int
     process1: MeasurementProcess
     process2: MeasurementProcess
-    composite_coupling: np.ndarray
+    isometry: np.ndarray
+    first: int = 1
 
     def __post_init__(self) -> None:
-        coupling = as_complex_matrix(self.composite_coupling, "composite coupling").copy()
-        if coupling.shape != (self.total_dim, self.total_dim):
-            raise ValueError("composite coupling does not match the threefold dimension")
-        if not is_unitary(coupling):
-            raise ValueError(f"composite coupling is not unitary within {UNITARY_TOL}")
-        coupling.setflags(write=False)
-        object.__setattr__(self, "composite_coupling", coupling)
+        if self.first not in (1, 2):
+            raise ValueError("first must be 1 or 2")
+        v = as_complex_matrix(self.isometry, "isometry").copy()
+        if v.shape != (self.total_dim, self.system_dim):
+            raise ValueError("isometry does not match the threefold and system dimensions")
+        if not _is_isometry(v):
+            raise ValueError(f"scenario isometry is not an isometry within {UNITARY_TOL}")
+        v.setflags(write=False)
+        object.__setattr__(self, "isometry", v)
 
     @property
     def total_dim(self) -> int:
         return self.system_dim * self.process1.ancilla_dim * self.process2.ancilla_dim
+
+    @functools.cached_property
+    def composite_coupling(self) -> np.ndarray:
+        p1, p2 = self.process1, self.process2
+        d, k1, k2, total = self.system_dim, p1.ancilla_dim, p2.ancilla_dim, self.total_dim
+        u1 = p1.coupling.reshape(d, k1, d, k1)
+        u2 = p2.coupling.reshape(d, k2, d, k2)
+        # Axes are (system, ancilla 1, ancilla 2) twice; m is the system
+        # index between the two couplings.
+        if self.first == 1:
+            six = np.einsum("icme,majb->iacjbe", u2, u1, optimize=True)
+        else:
+            six = np.einsum("iamb,mcje->iacjbe", u1, u2, optimize=True)
+        coupling = six.reshape(total, total)
+        if not is_unitary(coupling):
+            raise ValueError(f"composite coupling is not unitary within {UNITARY_TOL}")
+        xi = np.outer(p1.ancilla_state.amplitudes, p2.ancilla_state.amplitudes).reshape(-1)
+        if np.max(np.abs(coupling.reshape(total, d, -1) @ xi - self.isometry)) > UNITARY_TOL:
+            raise ValueError(f"isometry differs from its processes' by more than {UNITARY_TOL}")
+        coupling.setflags(write=False)
+        return coupling
 
     @functools.cached_property
     def _evolved_meters(self) -> tuple[Observable, Observable]:
@@ -148,11 +178,8 @@ class JointDistribution:
         return dict(self.entries)
 
     def probability(self, x: float, y: float, label_tol: float = DEFAULT_LABEL_TOL) -> float:
-        return sum(
-            p
-            for (a, b), p in self.entries
-            if _labels_agree(a, x, label_tol) and _labels_agree(b, y, label_tol)
-        )
+        hits = (p for pair, p in self.entries if _labels_agree(pair, (x, y), label_tol).all())
+        return sum(hits, 0.0)
 
 
 @dataclass(frozen=True)
@@ -190,49 +217,39 @@ def compose_joint_scenario(
 
     Each coupling acts on the system and its own ancilla, with identity on
     the other observer's ancilla, and the two are applied sequentially; by
-    default the first process couples first. The composite coupling is
-    formed by contracting the two couplings over the system index they
-    share, at O(d D^2) cost. The evolved meters are left to be built on
-    first read.
+    default the first process couples first (``first`` is 1 or 2). The
+    scenario's isometry is formed by contracting the two process isometries
+    over the system index they share, at O(D d^2) cost; the composite
+    coupling and the evolved meters are left to be built on first read.
     """
     if p1.system_dim != p2.system_dim:
         raise ValueError("processes disagree on the system dimension")
-    if first not in (1, 2):
-        raise ValueError("first must be 1 or 2")
     d, k1, k2 = p1.system_dim, p1.ancilla_dim, p2.ancilla_dim
     total = d * k1 * k2
     if total > PRODUCT_DIM_GUARD:
         raise ValueError(f"composite dimension {total} exceeds the guard {PRODUCT_DIM_GUARD}")
-    u1 = p1.coupling.reshape(d, k1, d, k1)
-    u2 = p2.coupling.reshape(d, k2, d, k2)
-    # Output axes are (system, ancilla 1, ancilla 2) twice; m is the system
-    # index between the two couplings.
+    v1 = _isometry(p1).reshape(d, k1, d)
+    v2 = _isometry(p2).reshape(d, k2, d)
+    # Rows are (system, ancilla 1, ancilla 2), the column is the input
+    # system index; m is the system index between the two isometries.
     if first == 1:
-        six = np.einsum("icme,majb->iacjbe", u2, u1, optimize=True)
+        v = np.einsum("icm,maj->iacj", v2, v1, optimize=True)
     else:
-        six = np.einsum("iamb,mcje->iacjbe", u1, u2, optimize=True)
-    return JointScenario(
-        system_dim=d,
-        process1=p1,
-        process2=p2,
-        composite_coupling=six.reshape(total, total),
-    )
+        v = np.einsum("iam,mcj->iacj", v1, v2, optimize=True)
+    return JointScenario(d, p1, p2, v.reshape(total, d), first)
 
 
 def _joint_tables(scenario: JointScenario, psi: np.ndarray) -> np.ndarray:
     """Clamped joint law (see ``joint_distribution``) of each row of the
     (T, d) array psi, shape (T, n1, n2).
 
-    The composite states C (psi x xi1 x xi2) are psi V^T, with
-    V = C (I x xi1 x xi2) the scenario's (D, d) isometry, read as a
-    (T, d, k1, k2) tensor. Every table must sum to 1 within JOINT_SUM_TOL.
+    The composite states V psi are psi V^T, with V the scenario's stored
+    (D, d) isometry, read as a (T, d, k1, k2) tensor: O(T D d) work. Every
+    table must sum to 1 within JOINT_SUM_TOL.
     """
     meter1, meter2 = scenario.process1.meter, scenario.process2.meter
     d, k1, k2 = scenario.system_dim, meter1.dim, meter2.dim
-    xi1 = scenario.process1.ancilla_state.amplitudes
-    xi2 = scenario.process2.ancilla_state.amplitudes
-    v = scenario.composite_coupling.reshape(-1, d, k1 * k2) @ np.outer(xi1, xi2).reshape(-1)
-    w = (psi @ v.T).reshape(-1, d, k1, k2)
+    w = (psi @ scenario.isometry.T).reshape(-1, d, k1, k2)
     probs = clamp_probability(
         _born_table(w, np.array(meter1.spectral.projectors), np.array(meter2.spectral.projectors))
     )
@@ -243,13 +260,13 @@ def _joint_tables(scenario: JointScenario, psi: np.ndarray) -> np.ndarray:
 def joint_distribution(scenario: JointScenario, psi: State) -> JointDistribution:
     """Joint outcome probabilities for both observers in a system state.
 
-    Applies the composite coupling to psi x xi1 x xi2 and reads the result
-    w as a tensor over (system, ancilla 1, ancilla 2). The probability of
-    the pair (x, y) is <w| I x P_x x Q_y |w>, with P_x and Q_y the spectral
-    projectors of the two process meters acting on their own ancilla axes.
-    This equals the product of the evolved meters' projectors in the
-    composite state without building them. Entries are real and
-    nonnegative up to rounding.
+    Applies the scenario's isometry to psi, which equals the composite
+    coupling applied to psi x xi1 x xi2, and reads the result w as a tensor
+    over (system, ancilla 1, ancilla 2). The probability of the pair (x, y)
+    is <w| I x P_x x Q_y |w>, with P_x and Q_y the spectral projectors of the
+    two process meters acting on their own ancilla axes. This equals the
+    product of the evolved meters' projectors in the composite state without
+    building them. Entries are real and nonnegative up to rounding.
     """
     if psi.dim != scenario.system_dim:
         raise ValueError(

@@ -51,10 +51,13 @@ def is_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:
 
 def is_unitary(m, tol: float = UNITARY_TOL) -> bool:
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
+    return m.ndim == 2 and m.shape[0] == m.shape[1] and _is_isometry(m, tol)
+
+
+def _is_isometry(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+    """Whether the 2-D array m has orthonormal columns, at O(rows cols^2)."""
     gram = m.conj().T @ m
-    return bool(np.max(np.abs(gram - np.eye(m.shape[0]))) <= tol)
+    return bool(np.max(np.abs(gram - np.eye(m.shape[1]))) <= tol)
 
 
 def tensor(a, b, max_dim: int = PRODUCT_DIM_GUARD) -> np.ndarray:
@@ -238,8 +241,7 @@ def complete_isometry_to_unitary(v) -> np.ndarray:
     rows, cols = m.shape
     if rows < cols:
         raise ValueError(f"isometry must be tall, got shape {m.shape}")
-    gram = m.conj().T @ m
-    if np.max(np.abs(gram - np.eye(cols))) > UNITARY_TOL:
+    if not _is_isometry(m):
         raise ValueError(f"columns are not orthonormal within {UNITARY_TOL}")
     q, _ = np.linalg.qr(m, mode="complete")
     return np.hstack([m, q[:, cols:]])

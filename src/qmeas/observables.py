@@ -92,7 +92,7 @@ class OutcomeDistribution:
 
     def probability(self, label: float, label_tol: float = DEFAULT_LABEL_TOL) -> float:
         """Total probability of outcomes within label_tol of the given label."""
-        return sum(p for x, p in self.entries if _labels_agree(x, label, label_tol))
+        return sum((p for x, p in self.entries if _labels_agree(x, label, label_tol)), 0.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,10 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PAULI_Z, random_hermitian, random_meter_process, random_unitary
+from conftest import PAULI_X, PAULI_Z, random_hermitian, random_meter_process, random_unitary
 from qmeas import intersubjectivity
 from qmeas.errors import LocalityError, NumericalConsistencyError
 from qmeas.intersubjectivity import (
@@ -22,7 +22,12 @@ from qmeas.intersubjectivity import (
 )
 from qmeas.linalg import State, random_state
 from qmeas.observables import Observable, Povm, born_probabilities, povm_probabilities
-from qmeas.processes import MeasurementProcess, induced_povm, naimark_dilation, outcome_distribution
+from qmeas.processes import (
+    MeasurementProcess,
+    induced_povm,
+    naimark_dilation,
+    outcome_distribution,
+)
 from qmeas.vonneumann import build_vn_process
 
 
@@ -110,6 +115,77 @@ def test_compose_and_joint_law_peak_memory_at_dimension_eight():
     finally:
         tracemalloc.stop()
     assert peak < bound, f"peak {peak / 2**20:.1f} MiB"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([1, 2]),
+)
+@example(seed=3, d=5, k1=4, k2=2, first=2)
+def test_stored_isometry_is_the_composite_coupling_at_the_ancilla_states(seed, d, k1, k2, first):
+    assume(k1 != k2)
+    rng = np.random.default_rng(seed)
+    p1 = random_meter_process(d, k1, rng, degenerate=False)
+    p2 = random_meter_process(d, k2, rng, degenerate=True)
+    scenario = compose_joint_scenario(p1, p2, first=first)
+    xi = np.kron(p1.ancilla_state.amplitudes, p2.ancilla_state.amplitudes)[:, None]
+    columns = scenario.composite_coupling @ np.kron(np.eye(d), xi)
+    assert np.max(np.abs(scenario.isometry - columns)) <= 1e-12
+    assert not scenario.isometry.flags.writeable
+    assert not scenario.composite_coupling.flags.writeable
+
+
+def test_statistics_never_read_the_composite_coupling(monkeypatch):
+    def refuse(self):
+        raise AssertionError("statistics must be read from the scenario's isometry")
+
+    monkeypatch.setattr(JointScenario, "composite_coupling", property(refuse))
+    a = Observable.from_matrix(np.diag([1.0, 2.0, 3.0]))
+    assert verify_oit(a, trials=20, seed=2).passes
+    scenario = compose_joint_scenario(
+        build_vn_process(a), naimark_dilation(Povm.from_observable(a)), first=2
+    )
+    psi = random_state(3, seed=9)
+    assert joint_distribution(scenario, psi).probability(2.0, 2.0) > 0.0
+    assert check_intersubjectivity(scenario, psi).passes
+    assert sum(sample_outcomes(scenario, psi, 100, seed=1).values()) == 100
+
+
+def test_scenario_rejects_a_non_isometry():
+    p = trivial_ancilla_process()
+    for bad in (2 * np.eye(2), np.ones((2, 2)), np.eye(4)[:, :2], np.eye(2)[:, :1]):
+        with pytest.raises(ValueError):
+            JointScenario(2, p, p, bad)
+    with pytest.raises(ValueError):
+        JointScenario(2, p, p, np.eye(2), first=3)
+
+
+def test_isometry_contradicting_its_processes_is_rejected_on_dense_read():
+    # PAULI_X is an isometry, but the identity couplings of p give V = I.
+    p = trivial_ancilla_process()
+    with pytest.raises(ValueError):
+        JointScenario(2, p, p, PAULI_X).composite_coupling
+    with pytest.raises(ValueError):
+        JointScenario(2, p, p, PAULI_X).evolved_meter1
+
+
+def test_oit_at_the_guard_peak_memory():
+    # Nondegenerate d=16: D = 16 * 16 * 16 = 4096, where one dense composite
+    # coupling alone would take 256 MiB.
+    a = Observable.from_matrix(random_hermitian(16, np.random.default_rng(16)))
+    assert len(a.labels) == 16
+    tracemalloc.start()
+    try:
+        summary = verify_oit(a, trials=10, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.passes
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_locality_error_is_a_value_error():
@@ -268,6 +344,15 @@ def test_diagonal_keeps_only_labels_with_an_agreeing_partner():
     assert list(report.diagonal) == [0.0]
     assert report.diagonal[0.0] == pytest.approx(0.5, abs=1e-12)
     assert report.off_diagonal_mass == pytest.approx(0.5, abs=1e-12)
+
+
+def test_probability_with_no_agreeing_label_is_a_float_zero():
+    povm, scenario = counterexample_uninformative_povm()
+    psi = State.basis(2, 0)
+    joint = joint_distribution(scenario, psi).probability(0.5, 0.5, label_tol=0.25)
+    single = povm_probabilities(povm, psi).probability(0.5, label_tol=0.25)
+    assert type(joint) is float and joint == 0.0
+    assert type(single) is float and single == 0.0
 
 
 def test_joint_probability_window_includes_its_boundary():
