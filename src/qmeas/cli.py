@@ -29,8 +29,15 @@ from .intersubjectivity import (
 )
 from .linalg import State
 from .observables import DEFAULT_LABEL_TOL, Observable, Povm, povm_probabilities
-from .processes import MeasurementProcess, effect_gaps, induced_povm, naimark_dilation
-from .vonneumann import build_vn_process, check_observable_entanglement, entangled_state
+from .processes import (
+    MeasurementProcess,
+    _pointer_meter,
+    _povm_gaps,
+    effect_gaps,
+    induced_povm,
+    naimark_dilation,
+)
+from .vonneumann import check_observable_entanglement, entangled_state
 
 SCHEMA_VERSION = "1"
 
@@ -120,6 +127,10 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _float(value, path: str) -> float:
     try:
         return float(value)
@@ -155,7 +166,7 @@ def _decode_matrix(obj, path: str) -> np.ndarray:
     if not isinstance(obj, dict):
         _fail(path, "expected an object with rows, cols, entries")
     rows, cols, entries = obj.get("rows"), obj.get("cols"), obj.get("entries")
-    if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 1 or cols < 1:
+    if not (_is_integer(rows) and _is_integer(cols)) or rows < 1 or cols < 1:
         _fail(path, "rows and cols must be positive integers")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         _fail(path, f"entries must hold rows*cols = {rows * cols} complex pairs (row-major)")
@@ -198,7 +209,7 @@ def _decode_process(obj, path: str) -> MeasurementProcess:
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
     system_dim = obj.get("system_dim")
-    if not isinstance(system_dim, int) or system_dim < 1:
+    if not _is_integer(system_dim) or system_dim < 1:
         _fail(f"{path}.system_dim", "must be a positive integer")
     return MeasurementProcess(
         system_dim=system_dim,
@@ -245,7 +256,7 @@ def _setting(args, payload: dict, name: str, default, kind):
     value = getattr(args, name, None)
     if value is None and name in payload:
         value = payload[name]
-        if kind is int and not (isinstance(value, int) and not isinstance(value, bool)):
+        if kind is int and not _is_integer(value):
             _fail(name, "must be an integer")
         if kind is float and not _is_number(value):
             _fail(name, "must be a number")
@@ -280,16 +291,10 @@ def _cmd_reproducibility(payload: dict, args) -> RunReport:
     tol = _setting(args, payload, "tol", DEFAULT_TOL, float)
     label_tol = _setting(args, payload, "label_tol", DEFAULT_LABEL_TOL, float)
     gaps = effect_gaps(mp, a, label_tol)
+    metrics = {"tolerance": tol, "label_tol": label_tol, "labels_match": gaps is not None}
     if gaps is None:
-        metrics = {"tolerance": tol, "label_tol": label_tol, "labels_match": False}
         return RunReport("reproducibility", False, metrics, {})
-    max_gap = max(gap for _, gap in gaps)
-    metrics = {
-        "tolerance": tol,
-        "label_tol": label_tol,
-        "labels_match": True,
-        "max_effect_gap": max_gap,
-    }
+    metrics["max_effect_gap"] = max_gap = max(gap for _, gap in gaps)
     details = {"effect_gaps": [[x, gap] for x, gap in gaps]}
     return RunReport("reproducibility", max_gap <= tol, metrics, details)
 
@@ -305,32 +310,29 @@ def _cmd_dilate(payload: dict, args) -> RunReport:
     p = _decode_povm(_require(payload, "povm"), "povm")
     tol = _setting(args, payload, "tol", DEFAULT_TOL, float)
     mp = naimark_dilation(p)
-    recovered = induced_povm(mp)
-    original = sorted(p.outcomes, key=lambda pair: pair[0])
-    roundtrip = sorted(recovered.outcomes, key=lambda pair: pair[0])
-    gap = max(
-        float(np.linalg.norm(before - after))
-        for (_, before), (_, after) in zip(original, roundtrip)
-    )
+    # The dilation's meter carries p's labels exactly, so they always pair.
+    gap = max(gap for _, gap in _povm_gaps(p, induced_povm(mp), 0.0))
     metrics = {"round_trip_gap": gap, "tolerance": tol, "ancilla_dim": mp.ancilla_dim}
     return RunReport("dilate", gap <= tol, metrics, {"process": _encode_process(mp)})
+
+
+def _entanglement_report(command: str, a1, a2, phi, tol: float, **details) -> RunReport:
+    report = check_observable_entanglement(a1, a2, phi, tol)
+    metrics = {"max_violation": report.max_violation, "tolerance": tol}
+    details["pairing"] = [[k, m] for k, m in report.pairing]
+    details["conditions"] = report.condition_results
+    details["joint"] = [[float(p) for p in row] for row in report.joint]
+    return RunReport(command, report.is_entangled, metrics, details)
 
 
 def _cmd_entangle(payload: dict, args) -> RunReport:
     psi = _decode_state(_require(payload, "state"), "state")
     a = _decode_observable(_require(payload, "observable"), "observable")
     tol = _setting(args, payload, "tol", DEFAULT_TOL, float)
-    mp = build_vn_process(a)
     phi = entangled_state(psi, a)
-    report = check_observable_entanglement(a, mp.meter, phi, tol)
-    metrics = {"max_violation": report.max_violation, "tolerance": tol}
-    details = {
-        "state": _encode_state(phi),
-        "pairing": [[k, m] for k, m in report.pairing],
-        "conditions": report.condition_results,
-        "joint": [[float(p) for p in row] for row in report.joint],
-    }
-    return RunReport("entangle", report.is_entangled, metrics, details)
+    # The meter of the pointer process entangled_state has just applied.
+    meter = _pointer_meter(a.labels)
+    return _entanglement_report("entangle", a, meter, phi, tol, state=_encode_state(phi))
 
 
 def _cmd_check_entanglement(payload: dict, args) -> RunReport:
@@ -338,14 +340,7 @@ def _cmd_check_entanglement(payload: dict, args) -> RunReport:
     a2 = _decode_observable(_require(payload, "observable2"), "observable2")
     phi = _decode_state(_require(payload, "state"), "state")
     tol = _setting(args, payload, "tol", DEFAULT_TOL, float)
-    report = check_observable_entanglement(a1, a2, phi, tol)
-    metrics = {"max_violation": report.max_violation, "tolerance": tol}
-    details = {
-        "pairing": [[k, m] for k, m in report.pairing],
-        "conditions": report.condition_results,
-        "joint": [[float(p) for p in row] for row in report.joint],
-    }
-    return RunReport("check-entanglement", report.is_entangled, metrics, details)
+    return _entanglement_report("check-entanglement", a1, a2, phi, tol)
 
 
 def _cmd_counterexample(payload: dict, args) -> RunReport:
@@ -407,22 +402,21 @@ _HELP = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", metavar="FILE", help="JSON scenario file")
-    common.add_argument("--json", action="store_true", help="emit a machine-readable report")
-    common.add_argument("--seed", type=int, metavar="N", help="random seed")
-    common.add_argument("--trials", type=int, metavar="N", help="trial or sample count")
-    common.add_argument("--tol", type=float, metavar="X", help="verification tolerance")
-    common.add_argument(
-        "--label-tol", dest="label_tol", type=float, metavar="X", help="outcome label matching width"
-    )
     parser = argparse.ArgumentParser(
         prog="qmeas",
         description="Simulate indirect quantum measurement processes and check outcome agreement.",
+        epilog="subcommands:\n" + "\n".join(f"  {name:<20}{_HELP[name]}" for name in _HANDLERS),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        sub.add_parser(name, parents=[common], help=_HELP[name])
+    parser.add_argument("command", choices=_HANDLERS, metavar="subcommand", help="listed below")
+    parser.add_argument("--input", metavar="FILE", help="JSON scenario file")
+    parser.add_argument("--json", action="store_true", help="emit a machine-readable report")
+    parser.add_argument("--seed", type=int, metavar="N", help="random seed")
+    parser.add_argument("--trials", type=int, metavar="N", help="trial or sample count")
+    parser.add_argument("--tol", type=float, metavar="X", help="verification tolerance")
+    parser.add_argument(
+        "--label-tol", dest="label_tol", type=float, metavar="X", help="outcome label matching width"
+    )
     return parser
 
 

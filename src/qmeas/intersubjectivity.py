@@ -15,7 +15,8 @@ observers assign to unequal outcomes.
 ``verify_oit`` evaluates its seeded trials in chunks, each chunk as one
 batch of states through the same Born kernel that reads a single joint law;
 the chunk length keeps every per-chunk array near 2^16 complex entries, so
-its memory does not grow with the trial count.
+the only memory that grows with the trial count is the seed array, 4 bytes
+per trial.
 
 For processes that reproduce the same sharp observable that off-diagonal
 mass vanishes: both observers always read the same value. A pair of
@@ -344,8 +345,9 @@ def verify_oit(
     probability clamping and both sums, with the same bounds and errors.
     The chunk length follows from the sizes: the largest per-chunk array
     (composite states, D entries per trial; two-ancilla reduced states,
-    (k1 k2)^2; system reduced states, d^2) holds about 2^16 complex entries,
-    so memory stays bounded whatever the trial count.
+    (k1 k2)^2; system reduced states, d^2) holds about 2^16 complex entries.
+    The one array that grows with the trial count is the uint32 seed array,
+    4 bytes per trial; each chunk converts only its own slice to ints.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -364,12 +366,12 @@ def verify_oit(
     # of the diagonal mass below pairs with a's Born probability of label i.
     agree = _agreement(scenario, label_tol)
     projectors = np.array(a.spectral.projectors)
-    trial_seeds = np.random.SeedSequence(seed).generate_state(trials).tolist()
+    trial_seeds = np.random.SeedSequence(seed).generate_state(trials)
     max_off = 0.0
     max_gap = 0.0
     all_pass = True
     for start in range(0, trials, chunk):
-        psi = _gaussian_amplitudes(d, trial_seeds[start : start + chunk])
+        psi = _gaussian_amplitudes(d, trial_seeds[start : start + chunk].tolist())
         psi /= np.linalg.norm(psi, axis=1)[:, None]
         _require_unit_norm(np.linalg.norm(psi, axis=1))
         joint = _joint_tables(scenario, psi)

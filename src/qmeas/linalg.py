@@ -133,8 +133,8 @@ class State:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Discrete spectral family: strictly increasing eigenvalues paired with
-    mutually orthogonal projectors that sum to the identity."""
+    """Discrete spectral family: finite, strictly increasing eigenvalues
+    paired with mutually orthogonal projectors that sum to the identity."""
 
     branches: tuple[tuple[float, np.ndarray], ...]
 
@@ -155,6 +155,8 @@ class SpectralDecomposition:
             proj.setflags(write=False)
             cleaned.append((float(value), proj))
         values = [v for v, _ in cleaned]
+        if not np.all(np.isfinite(values)):
+            raise ValueError("eigenvalues must be finite")
         if any(hi <= lo for lo, hi in zip(values, values[1:])):
             raise ValueError("eigenvalues must be strictly increasing")
         for value, proj in cleaned:

@@ -170,7 +170,8 @@ def effect_family_violation(effects: Sequence[np.ndarray], tol: float = EFFECT_T
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Labeled family of effects forming a resolution of the identity."""
+    """Family of effects with finite, distinct labels forming a resolution
+    of the identity."""
 
     outcomes: tuple[tuple[float, np.ndarray], ...]
 
@@ -181,6 +182,8 @@ class Povm:
             e.setflags(write=False)
             cleaned.append((float(label), e))
         labels = [x for x, _ in cleaned]
+        if not np.all(np.isfinite(labels)):
+            raise ValueError("invalid POVM: outcome labels must be finite")
         if len(set(labels)) != len(labels):
             raise ValueError("invalid POVM: outcome labels are not pairwise distinct")
         violation = effect_family_violation([e for _, e in cleaned])

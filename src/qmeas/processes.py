@@ -140,6 +140,21 @@ def induced_povm(mp: MeasurementProcess) -> Povm:
     )
 
 
+def _povm_gaps(p: Povm, q: Povm, label_tol: float) -> tuple[tuple[float, float], ...] | None:
+    """(q's label, Frobenius gap) for each pair of effects in label order, or
+    None when the sorted labels of p and q do not line up within label_tol."""
+    first = sorted(p.outcomes, key=lambda pair: pair[0])
+    second = sorted(q.outcomes, key=lambda pair: pair[0])
+    if len(first) != len(second):
+        return None
+    gaps = []
+    for (x, effect), (y, other) in zip(first, second):
+        if not _labels_agree(x, y, label_tol):
+            return None
+        gaps.append((y, float(np.linalg.norm(effect - other))))
+    return tuple(gaps)
+
+
 def effect_gaps(
     mp: MeasurementProcess, a: Observable, label_tol: float = DEFAULT_LABEL_TOL
 ) -> tuple[tuple[float, float], ...] | None:
@@ -150,16 +165,7 @@ def effect_gaps(
     """
     if a.dim != mp.system_dim:
         raise ValueError(f"observable dimension {a.dim} does not match system dimension {mp.system_dim}")
-    induced = sorted(induced_povm(mp).outcomes, key=lambda pair: pair[0])
-    target = sorted(Povm.from_observable(a).outcomes, key=lambda pair: pair[0])
-    if len(induced) != len(target):
-        return None
-    gaps = []
-    for (x, effect), (y, proj) in zip(induced, target):
-        if not _labels_agree(x, y, label_tol):
-            return None
-        gaps.append((y, float(np.linalg.norm(effect - proj))))
-    return tuple(gaps)
+    return _povm_gaps(induced_povm(mp), Povm.from_observable(a), label_tol)
 
 
 def check_probability_reproducibility(

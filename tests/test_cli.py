@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -185,6 +186,55 @@ def test_unknown_command_is_a_usage_error(capsys):
     assert excinfo.value.code == 2
 
 
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["--help"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    for name, text in cli._HELP.items():
+        assert re.search(rf"^  {re.escape(name)} +{re.escape(text)}$", out, re.MULTILINE)
+
+
+def test_subcommand_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["verify-oit", "--help"])
+    assert excinfo.value.code == 0
+    assert "--label-tol" in capsys.readouterr().out
+
+
+def test_flags_may_precede_the_subcommand(tmp_path, capsys):
+    path = write_payload(tmp_path, "obs.json", {"observable": {"matrix": encode_matrix(PAULI_Z)}})
+    before = run(capsys, ["--json", "--trials", "3", "verify-oit", "--input", path])
+    after = run(capsys, ["verify-oit", "--input", path, "--trials", "3", "--json"])
+    assert before == after
+    assert before[0] == 0
+
+
+def dimension_cases():
+    z = encode_matrix(PAULI_Z)
+    process = pointer_process_payload([1.0, -1.0])
+    one_by_one = {**z, "rows": True, "cols": True, "entries": [[1.0, 0.0]]}
+    matrix_error = "observable.matrix: rows and cols must be positive integers"
+    return [
+        ("verify-oit", {"observable": {"matrix": {**z, "rows": True}}}, matrix_error),
+        ("verify-oit", {"observable": {"matrix": {**z, "cols": True}}}, matrix_error),
+        ("verify-oit", {"observable": {"matrix": one_by_one}}, matrix_error),
+        (
+            "induced-povm",
+            {"process": {**process, "system_dim": True}},
+            "process.system_dim: must be a positive integer",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("command, payload, message", dimension_cases())
+def test_boolean_dimension_exits_2_naming_the_path(tmp_path, capsys, command, payload, message):
+    code, out, err = run(capsys, [command, "--input", write_payload(tmp_path, "in.json", payload)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # reproducibility / induced-povm
 
@@ -275,6 +325,19 @@ def test_dilate_rejects_invalid_povm(tmp_path, capsys):
     assert "invalid POVM" in err
 
 
+@pytest.mark.parametrize("label", [math.nan, math.inf, -math.inf])
+def test_dilate_rejects_non_finite_label(tmp_path, capsys, label):
+    # json writes and reads NaN and Infinity; the POVM must reject them
+    # before any arithmetic on the label can warn.
+    half = encode_matrix(np.eye(2) / 2)
+    outcomes = [{"label": 0.0, "effect": half}, {"label": label, "effect": half}]
+    path = write_payload(tmp_path, "povm.json", {"povm": {"outcomes": outcomes}})
+    code, out, err = run(capsys, ["dilate", "--input", path])
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 # ---------------------------------------------------------------------------
 # entangle / check-entanglement
 
@@ -292,6 +355,26 @@ def test_entangle_passes_for_superposition(tmp_path, capsys):
     assert report["metrics"]["max_violation"] <= 1e-9
     assert all(report["details"]["conditions"].values())
     assert len(report["details"]["state"]["amplitudes"]) == 4
+
+
+def test_entangle_builds_the_pointer_process_once(tmp_path, capsys, monkeypatch):
+    from qmeas import vonneumann
+
+    original = vonneumann.build_vn_process
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    # Count through every namespace that binds the constructor.
+    for module in (vonneumann, cli):
+        if getattr(module, "build_vn_process", None) is original:
+            monkeypatch.setattr(module, "build_vn_process", counting)
+    payload = {"state": encode_state([0.6, 0.8]), "observable": {"matrix": encode_matrix(PAULI_Z)}}
+    code, _, _ = run(capsys, ["entangle", "--input", write_payload(tmp_path, "in.json", payload)])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_check_entanglement_fails_for_product_state(tmp_path, capsys):

@@ -186,6 +186,16 @@ def test_spectral_decomposition_requires_increasing_eigenvalues():
         SpectralDecomposition(((1.0, p0), (1.0, p1)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slot", [0, 1])
+def test_spectral_decomposition_rejects_non_finite_eigenvalues(bad, slot):
+    values = [0.0, 1.0]
+    values[slot] = bad
+    branches = ((values[0], np.diag([1.0, 0.0])), (values[1], np.diag([0.0, 1.0])))
+    with pytest.raises(ValueError, match="finite"):
+        SpectralDecomposition(branches)
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=5))
 def test_hermitian_eig_projectors_resolve_identity(seed, dim):

@@ -148,6 +148,12 @@ def test_povm_rejects_duplicate_labels():
         Povm(((0.0, np.eye(2) / 2), (0.0, np.eye(2) / 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_povm_rejects_non_finite_labels(bad):
+    with pytest.raises(ValueError, match="invalid POVM: outcome labels must be finite"):
+        Povm(((0.0, np.eye(2) / 2), (bad, np.eye(2) / 2)))
+
+
 def test_povm_rejects_effect_spectrum_outside_unit_interval():
     bump = 0.6 * PAULI_X
     with pytest.raises(ValueError, match="spectrum"):
