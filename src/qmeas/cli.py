@@ -311,7 +311,7 @@ def _cmd_dilate(payload: dict, args) -> RunReport:
     tol = _setting(args, payload, "tol", DEFAULT_TOL, float)
     mp = naimark_dilation(p)
     # The dilation's meter carries p's labels exactly, so they always pair.
-    gap = max(gap for _, gap in _povm_gaps(p, induced_povm(mp), 0.0))
+    gap = max(gap for _, gap in _povm_gaps(p.outcomes, induced_povm(mp).outcomes, 0.0))
     metrics = {"round_trip_gap": gap, "tolerance": tol, "ancilla_dim": mp.ancilla_dim}
     return RunReport("dilate", gap <= tol, metrics, {"process": _encode_process(mp)})
 

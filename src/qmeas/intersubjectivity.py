@@ -7,7 +7,7 @@ the threefold space, at O(D d^2) cost. The joint outcome law is read from
 the state tensor, that isometry applied to the system state, by
 contracting each meter's projectors on its own ancilla axis. The dense
 D x D composite coupling and the evolved meters, each process meter
-conjugated by it, are built only when read, the meters at O(n D^3) cost;
+conjugated by it, are built only when read, each at O(D^3) cost;
 they commute by construction: each acts on its own ancilla factor before
 the conjugation. The checks here quantify how much probability the two
 observers assign to unequal outcomes.
@@ -96,7 +96,7 @@ class JointScenario:
 
     The read-only dense ``composite_coupling`` (O(D^3) with its unitarity
     check) and the evolved meters (each process meter on its own ancilla
-    factor conjugated by it, O(n D^3) for n branches) are built on first
+    factor conjugated by it, O(D^3) each) are built on first
     read and kept. The coupling must be unitary and reproduce V at the
     ancilla states within UNITARY_TOL (else ``ValueError``), so a scenario
     cannot hold a joint law its processes contradict. The meters commute by
@@ -172,6 +172,8 @@ class JointDistribution:
 
     def __post_init__(self) -> None:
         entries = tuple(((float(x), float(y)), float(p)) for (x, y), p in self.entries)
+        if not np.all(np.isfinite([pair for pair, _ in entries])):
+            raise ValueError("outcome labels must be finite")
         _require_unit_sum(sum(p for _, p in entries), JOINT_SUM_TOL, "joint probabilities")
         object.__setattr__(self, "entries", entries)
 

@@ -11,6 +11,7 @@ threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,53 +134,54 @@ class State:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Discrete spectral family: finite, strictly increasing eigenvalues
-    paired with mutually orthogonal projectors that sum to the identity."""
+    """Discrete spectral family: finite, strictly increasing eigenvalues, each
+    paired with a (d, rank) block B_x of eigenvectors; side by side the blocks
+    form a square basis B with tau = ||B^H B - I||_F <= PROJECTOR_TOL / 2.
 
-    branches: tuple[tuple[float, np.ndarray], ...]
+    For the projectors P_x = B_x B_x^H that one O(d^3) check gives, in
+    spectral norm, which bounds every entry: ||P_x^2 - P_x|| <= (1 + tau) tau,
+    ||P_x P_y|| <= (1 + tau) tau for x != y and ||sum P_x - I|| <= tau, all
+    within PROJECTOR_TOL. ``branches`` forms them on first read.
+    """
+
+    blocks: tuple[tuple[float, np.ndarray], ...]
 
     def __post_init__(self) -> None:
-        if not self.branches:
+        if not self.blocks:
             raise ValueError("spectral decomposition needs at least one branch")
         cleaned = []
-        dim = None
-        for value, projector in self.branches:
-            proj = as_complex_matrix(projector, "projector")
-            if proj.shape[0] != proj.shape[1]:
-                raise ValueError("projectors must be square")
-            if dim is None:
-                dim = proj.shape[0]
-            elif proj.shape[0] != dim:
-                raise ValueError("projectors must all share one dimension")
-            proj = proj.copy()
-            proj.setflags(write=False)
-            cleaned.append((float(value), proj))
+        for value, block in self.blocks:
+            b = as_complex_matrix(block, "eigenvector block").copy()
+            if b.shape[1] == 0:
+                raise ValueError(f"eigenvector block for eigenvalue {value} has no columns")
+            b.setflags(write=False)
+            cleaned.append((float(value), b))
         values = [v for v, _ in cleaned]
         if not np.all(np.isfinite(values)):
             raise ValueError("eigenvalues must be finite")
         if any(hi <= lo for lo, hi in zip(values, values[1:])):
             raise ValueError("eigenvalues must be strictly increasing")
-        for value, proj in cleaned:
-            if np.max(np.abs(proj - proj.conj().T)) > PROJECTOR_TOL:
-                raise ValueError(f"projector for eigenvalue {value} is not Hermitian")
-            if np.max(np.abs(proj @ proj - proj)) > PROJECTOR_TOL:
-                raise ValueError(f"projector for eigenvalue {value} is not idempotent")
-        for i, (_, left) in enumerate(cleaned):
-            for _, right in cleaned[i + 1 :]:
-                if np.max(np.abs(left @ right)) > PROJECTOR_TOL:
-                    raise ValueError("projectors are not mutually orthogonal")
-        total = sum(proj for _, proj in cleaned)
-        if np.max(np.abs(total - np.eye(dim))) > PROJECTOR_TOL:
-            raise ValueError("projectors do not sum to the identity")
-        object.__setattr__(self, "branches", tuple(cleaned))
+        basis = np.hstack([b for _, b in cleaned])
+        if basis.shape[0] != basis.shape[1]:
+            raise ValueError(f"eigenvector blocks form a {basis.shape} basis, not a square one")
+        tau = float(np.linalg.norm(basis.conj().T @ basis - np.eye(len(basis))))
+        if tau > PROJECTOR_TOL / 2:
+            raise ValueError(f"eigenvectors are not orthonormal: Gram error {tau:.3e}")
+        object.__setattr__(self, "blocks", tuple(cleaned))
+
+    @functools.cached_property
+    def branches(self) -> tuple[tuple[float, np.ndarray], ...]:
+        projectors = np.array([b @ b.conj().T for _, b in self.blocks])
+        projectors.setflags(write=False)
+        return tuple(zip(self.eigenvalues, projectors))
 
     @property
     def dim(self) -> int:
-        return int(self.branches[0][1].shape[0])
+        return int(self.blocks[0][1].shape[0])
 
     @property
     def eigenvalues(self) -> tuple[float, ...]:
-        return tuple(value for value, _ in self.branches)
+        return tuple(value for value, _ in self.blocks)
 
     @property
     def projectors(self) -> tuple[np.ndarray, ...]:
@@ -190,9 +192,9 @@ def hermitian_eig(a, merge_tol: float = DEFAULT_MERGE_TOL) -> SpectralDecomposit
     """Eigendecompose a Hermitian matrix, merging near-degenerate eigenvalues.
 
     Consecutive eigenvalues closer than ``merge_tol`` are collapsed into a
-    single branch whose projector is the sum of the corresponding rank-1
-    projectors and whose eigenvalue is the cluster mean. Adjacent branch
-    eigenvalues therefore always differ by more than ``merge_tol``.
+    single branch whose block holds the corresponding eigenvectors and whose
+    eigenvalue is the cluster mean. Adjacent branch eigenvalues therefore
+    always differ by more than ``merge_tol``.
     """
     m = as_complex_matrix(a)
     if m.shape[0] != m.shape[1]:
@@ -200,14 +202,13 @@ def hermitian_eig(a, merge_tol: float = DEFAULT_MERGE_TOL) -> SpectralDecomposit
     if not is_hermitian(m):
         raise ValueError(f"matrix is not Hermitian within {HERMITIAN_TOL}")
     values, vectors = np.linalg.eigh(m)
-    branches = []
+    blocks = []
     start = 0
     for stop in range(1, len(values) + 1):
         if stop == len(values) or values[stop] - values[stop - 1] > merge_tol:
-            cols = vectors[:, start:stop]
-            branches.append((float(np.mean(values[start:stop])), cols @ cols.conj().T))
+            blocks.append((float(np.mean(values[start:stop])), vectors[:, start:stop]))
             start = stop
-    return SpectralDecomposition(tuple(branches))
+    return SpectralDecomposition(tuple(blocks))
 
 
 def schmidt_decompose(

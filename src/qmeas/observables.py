@@ -73,6 +73,8 @@ class OutcomeDistribution:
         if not entries:
             raise ValueError("distribution needs at least one outcome")
         labels = [x for x, _ in entries]
+        if not np.all(np.isfinite(labels)):
+            raise ValueError("outcome labels must be finite")
         if len(set(labels)) != len(labels):
             raise ValueError("outcome labels must be pairwise distinct")
         for x, p in entries:
@@ -106,7 +108,7 @@ class Observable:
         m = as_complex_matrix(self.matrix, "observable matrix").copy()
         if m.shape[0] != self.spectral.dim:
             raise ValueError("matrix and spectral family have different dimensions")
-        rebuilt = sum(x * proj for x, proj in self.spectral.branches)
+        rebuilt = sum((b * x) @ b.conj().T for x, b in self.spectral.blocks)
         if np.linalg.norm(m - rebuilt) > EFFECT_TOL:
             raise ValueError("matrix does not match its spectral family within 1e-10")
         m.setflags(write=False)
@@ -120,7 +122,7 @@ class Observable:
 
     @classmethod
     def from_spectral(cls, spectral: SpectralDecomposition) -> "Observable":
-        matrix = sum(x * proj for x, proj in spectral.branches)
+        matrix = sum((b * x) @ b.conj().T for x, b in spectral.blocks)
         return cls(matrix, spectral)
 
     @property

@@ -79,13 +79,13 @@ class MeasurementProcess:
 
 def _evolved(coupling: np.ndarray, meter: Observable, before: int, after: int) -> Observable:
     """Dense meter lifted to I_before x meter x I_after and conjugated by the
-    coupling: O(n D^3) for n branches in dimension D, validated in full."""
-    rows = coupling.reshape(before, meter.dim, -1)
-    branches = tuple(
-        (value, coupling.conj().T @ (proj @ rows).reshape(coupling.shape))
-        for value, proj in meter.spectral.branches
+    coupling U: each meter block B_x becomes U^H (I x B_x x I), at O(D^2 k)
+    for ancilla dimension k, and the new family is validated at O(D^3)."""
+    adjoint = coupling.conj().T.reshape(-1, before, meter.dim, after).transpose(0, 1, 3, 2)
+    blocks = tuple(
+        (value, (adjoint @ b).reshape(len(coupling), -1)) for value, b in meter.spectral.blocks
     )
-    return Observable.from_spectral(SpectralDecomposition(branches))
+    return Observable.from_spectral(SpectralDecomposition(blocks))
 
 
 def heisenberg_meter(mp: MeasurementProcess) -> Observable:
@@ -140,11 +140,12 @@ def induced_povm(mp: MeasurementProcess) -> Povm:
     )
 
 
-def _povm_gaps(p: Povm, q: Povm, label_tol: float) -> tuple[tuple[float, float], ...] | None:
-    """(q's label, Frobenius gap) for each pair of effects in label order, or
-    None when the sorted labels of p and q do not line up within label_tol."""
-    first = sorted(p.outcomes, key=lambda pair: pair[0])
-    second = sorted(q.outcomes, key=lambda pair: pair[0])
+def _povm_gaps(p, q, label_tol: float) -> tuple[tuple[float, float], ...] | None:
+    """(q's label, Frobenius gap) for each pair of operators in label order, or
+    None when the sorted labels do not line up within label_tol; p and q are
+    (label, operator) sequences such as ``Povm.outcomes`` or ``branches``."""
+    first = sorted(p, key=lambda pair: pair[0])
+    second = sorted(q, key=lambda pair: pair[0])
     if len(first) != len(second):
         return None
     gaps = []
@@ -165,7 +166,7 @@ def effect_gaps(
     """
     if a.dim != mp.system_dim:
         raise ValueError(f"observable dimension {a.dim} does not match system dimension {mp.system_dim}")
-    return _povm_gaps(induced_povm(mp), Povm.from_observable(a), label_tol)
+    return _povm_gaps(induced_povm(mp).outcomes, a.spectral.branches, label_tol)
 
 
 def check_probability_reproducibility(
@@ -189,8 +190,8 @@ def check_probability_reproducibility(
 def _pointer_meter(labels) -> Observable:
     """Meter reading labels[k] off ancilla basis vector k, branches sorted by label."""
     basis = np.eye(len(labels), dtype=complex)
-    branches = tuple((labels[k], np.diag(basis[k])) for k in np.argsort(labels))
-    return Observable.from_spectral(SpectralDecomposition(branches))
+    blocks = tuple((labels[k], basis[:, k : k + 1]) for k in np.argsort(labels))
+    return Observable.from_spectral(SpectralDecomposition(blocks))
 
 
 def _effect_sqrt(effect: np.ndarray) -> np.ndarray:

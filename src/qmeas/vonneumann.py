@@ -204,21 +204,12 @@ def find_entangled_observables(
     """
     _, left_states, right_states = schmidt_decompose(phi, dim1, dim2)
 
-    def completed_basis(states: tuple[State, ...]) -> np.ndarray:
-        stacked = np.column_stack([s.amplitudes for s in states])
-        return complete_isometry_to_unitary(stacked)
+    def ladder_observable(states: tuple[State, ...]) -> Observable:
+        basis = complete_isometry_to_unitary(np.column_stack([s.amplitudes for s in states]))
+        blocks = tuple((float(k + 1), basis[:, k : k + 1]) for k in range(len(basis)))
+        return Observable.from_spectral(SpectralDecomposition(blocks))
 
-    def ladder_observable(basis: np.ndarray) -> Observable:
-        branches = tuple(
-            (float(k + 1), np.outer(basis[:, k], basis[:, k].conj()))
-            for k in range(basis.shape[1])
-        )
-        return Observable.from_spectral(SpectralDecomposition(branches))
-
-    return (
-        ladder_observable(completed_basis(left_states)),
-        ladder_observable(completed_basis(right_states)),
-    )
+    return ladder_observable(left_states), ladder_observable(right_states)
 
 
 def verify_perfect_correlation(

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from qmeas.linalg import State
+from qmeas.linalg import PROJECTOR_TOL, State
 from qmeas.observables import Observable
 from qmeas.processes import MeasurementProcess
 
@@ -47,3 +47,25 @@ def random_povm_outcomes(dim, n_outcomes, rng):
     values, vectors = np.linalg.eigh(total)
     inv_root = (vectors / np.sqrt(values)) @ vectors.conj().T
     return tuple((float(k), inv_root @ block @ inv_root) for k, block in enumerate(blocks))
+
+
+def reference_spectral_check(branches):
+    """Reference checker for a spectral family given as (value, projector)
+    pairs: each projector Hermitian and idempotent, the projectors mutually
+    orthogonal and summing to the identity, all entrywise within
+    PROJECTOR_TOL. ``SpectralDecomposition``'s one Gram check implies every
+    one of these; raises ValueError naming the first that fails."""
+    cleaned = [(float(value), np.asarray(proj)) for value, proj in branches]
+    dim = cleaned[0][1].shape[0]
+    for value, proj in cleaned:
+        if np.max(np.abs(proj - proj.conj().T)) > PROJECTOR_TOL:
+            raise ValueError(f"projector for eigenvalue {value} is not Hermitian")
+        if np.max(np.abs(proj @ proj - proj)) > PROJECTOR_TOL:
+            raise ValueError(f"projector for eigenvalue {value} is not idempotent")
+    for i, (_, left) in enumerate(cleaned):
+        for _, right in cleaned[i + 1 :]:
+            if np.max(np.abs(left @ right)) > PROJECTOR_TOL:
+                raise ValueError("projectors are not mutually orthogonal")
+    total = sum(proj for _, proj in cleaned)
+    if np.max(np.abs(total - np.eye(dim))) > PROJECTOR_TOL:
+        raise ValueError("projectors do not sum to the identity")

@@ -12,6 +12,7 @@ from qmeas import intersubjectivity
 from qmeas.errors import LocalityError, NumericalConsistencyError
 from qmeas.intersubjectivity import (
     IntersubjectivityReport,
+    JointDistribution,
     JointScenario,
     check_intersubjectivity,
     compose_joint_scenario,
@@ -481,6 +482,20 @@ def test_oit_reads_no_per_state_law(monkeypatch):
     assert verify_oit(a, trials=50, seed=1).passes
 
 
+def test_oit_validates_the_projective_povm_once(monkeypatch):
+    # One projective POVM, dilated, and the POVM each process induces.
+    validations = []
+    validate = Povm.__post_init__
+
+    def counting(self):
+        validations.append(self)
+        validate(self)
+
+    monkeypatch.setattr(Povm, "__post_init__", counting)
+    assert verify_oit(Observable.from_matrix(np.diag([0.0, 1.0, 2.0])), trials=5).passes
+    assert len(validations) == 3
+
+
 def test_oit_memory_is_bounded_whatever_the_trial_count():
     # One unchunked batch of 20,000 trials at d=4 (k1 = k2 = 4) would hold
     # 20,000 reduced states of 256 complex entries twice over: about 175 MiB.
@@ -493,6 +508,15 @@ def test_oit_memory_is_bounded_whatever_the_trial_count():
         tracemalloc.stop()
     assert summary.passes
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slot", [0, 1])
+def test_joint_distribution_rejects_non_finite_labels(bad, slot):
+    pair = [1.0, 2.0]
+    pair[slot] = bad
+    with pytest.raises(ValueError, match="finite"):
+        JointDistribution((((1.0, 1.0), 0.5), (tuple(pair), 0.5)))
 
 
 # ---------------------------------------------------------------------------

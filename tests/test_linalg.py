@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_hermitian
+from conftest import random_hermitian, random_unitary, reference_spectral_check
 from qmeas.linalg import (
+    PROJECTOR_TOL,
     UNITARY_TOL,
     State,
     SpectralDecomposition,
@@ -206,6 +207,73 @@ def test_hermitian_eig_projectors_resolve_identity(seed, dim):
     for i, p in enumerate(spec.projectors):
         for q in spec.projectors[i + 1 :]:
             assert np.linalg.norm(p @ q) <= 1e-10
+
+
+def clustered_hermitian(dim, rng):
+    """Hermitian matrix in a random basis whose eigenvalues repeat in clusters."""
+    values = np.sort(rng.integers(0, max(1, dim // 2), size=dim)).astype(float)
+    basis = random_unitary(dim, rng)
+    return (basis * values) @ basis.conj().T, np.unique(values, return_counts=True)[1]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=16),
+    st.booleans(),
+)
+def test_hermitian_eig_passes_the_reference_projector_checks(seed, dim, clustered):
+    rng = np.random.default_rng(seed)
+    if clustered:
+        matrix, ranks = clustered_hermitian(dim, rng)
+        spec = hermitian_eig(matrix)
+        assert [b.shape[1] for _, b in spec.blocks] == ranks.tolist()
+    else:
+        spec = hermitian_eig(random_hermitian(dim, rng))
+    reference_spectral_check(spec.branches)
+
+
+def test_hermitian_eig_passes_the_reference_projector_checks_at_d64():
+    spec = hermitian_eig(random_hermitian(64, np.random.default_rng(64)))
+    assert len(spec.blocks) == 64
+    reference_spectral_check(spec.branches)
+
+
+def _scaled_basis(gram_error):
+    """2x2 basis whose Gram matrix is diag(1 + gram_error, 1)."""
+    basis = np.eye(2, dtype=complex)
+    basis[0, 0] = np.sqrt(1.0 + gram_error)
+    return ((0.0, basis[:, :1]), (1.0, basis[:, 1:]))
+
+
+def test_spectral_decomposition_gram_bound_is_half_the_projector_tol():
+    spec = SpectralDecomposition(_scaled_basis(0.9 * PROJECTOR_TOL / 2))
+    reference_spectral_check(spec.branches)
+    with pytest.raises(ValueError, match="orthonormal"):
+        SpectralDecomposition(_scaled_basis(1.1 * PROJECTOR_TOL / 2))
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        ((0.0, np.eye(3)[:, :2]),),
+        ((0.0, np.eye(2)), (1.0, np.eye(2)[:, :1])),
+        ((0.0, np.zeros((2, 0))), (1.0, np.eye(2))),
+        ((0.0, np.eye(2)[:, :1]), (1.0, np.eye(3)[:, :1])),
+    ],
+    ids=["too-few-columns", "too-many-columns", "empty-block", "mismatched-rows"],
+)
+def test_spectral_decomposition_rejects_malformed_blocks(blocks):
+    with pytest.raises(ValueError):
+        SpectralDecomposition(blocks)
+
+
+def test_spectral_projectors_are_formed_once_and_read_only():
+    spec = hermitian_eig(np.diag([1.0, 1.0, 2.0]))
+    first, second = spec.projectors, spec.projectors
+    assert all(p is q for p, q in zip(first, second))
+    for array in first + tuple(b for _, b in spec.blocks):
+        assert not array.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for sharp/generalized observables and their statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,20 @@ def test_observable_rejects_mismatched_spectral():
 def test_observable_merges_degeneracies():
     a = Observable.from_matrix(np.diag([1.0, 1.0, 2.0]))
     assert a.labels == (1.0, 2.0)
+
+
+def test_from_matrix_forms_no_dense_projector_family():
+    # 128 dense 128 x 128 projectors alone take 32 MiB; the eigenvector
+    # basis, its Gram matrix and the rebuilt matrix take well under 2 MiB.
+    m = random_hermitian(128, np.random.default_rng(128))
+    tracemalloc.start()
+    try:
+        a = Observable.from_matrix(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(a.labels) == 128
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +271,12 @@ def test_clamp_rejects_an_array_naming_its_worst_value():
 def test_outcome_distribution_rejects_bad_total():
     with pytest.raises(NumericalConsistencyError):
         OutcomeDistribution(((0.0, 0.5), (1.0, 0.4)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_outcome_distribution_rejects_non_finite_labels(bad):
+    with pytest.raises(ValueError, match="finite"):
+        OutcomeDistribution(((bad, 0.5), (1.0, 0.5)))
 
 
 def test_outcome_distribution_rejects_duplicate_labels():

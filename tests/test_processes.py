@@ -12,6 +12,7 @@ from conftest import (
     random_meter_process,
     random_povm_outcomes,
     random_unitary,
+    reference_spectral_check,
 )
 from qmeas.intersubjectivity import verify_oit
 from qmeas.linalg import State, random_state, tensor
@@ -229,6 +230,7 @@ def test_pointer_meter_reads_each_label_off_its_basis_vector():
     assert meter.labels == (-1.0, 0.5, 2.0)
     np.testing.assert_array_equal(meter.matrix, np.diag([2.0, -1.0, 0.5]))
     np.testing.assert_array_equal(meter.spectral.projectors[0], np.diag([0.0, 1.0, 0.0]))
+    reference_spectral_check(meter.spectral.branches)
 
 
 def test_effect_gaps_outcome_count_mismatch_returns_none():
@@ -333,6 +335,7 @@ def test_state_tensor_statistics_match_dense_heisenberg_meter(seed, d, k, degene
     rng = np.random.default_rng(seed)
     mp = random_meter_process(d, k, rng, degenerate)
     evolved = heisenberg_meter(mp).spectral.branches
+    reference_spectral_check(evolved)
     psi = random_state(d, seed=seed)
     phi = psi.tensor(mp.ancilla_state).amplitudes
     got = outcome_distribution(mp, psi).entries

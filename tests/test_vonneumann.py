@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PAULI_Z, random_hermitian
+from conftest import PAULI_Z, random_hermitian, reference_spectral_check
 from qmeas.linalg import State, random_state, schmidt_decompose, tensor
 from qmeas.observables import Observable, born_probabilities
 from qmeas.processes import check_probability_reproducibility, induced_povm, outcome_distribution
@@ -359,6 +359,8 @@ def test_find_observables_random_bipartite(seed):
     phi = random_state(dims[0] * dims[1], seed=seed)
     a1, a2 = find_entangled_observables(phi, *dims)
     assert check_observable_entanglement(a1, a2, phi).is_entangled
+    reference_spectral_check(a1.spectral.branches)
+    reference_spectral_check(a2.spectral.branches)
 
 
 # ---------------------------------------------------------------------------
