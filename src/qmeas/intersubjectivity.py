@@ -4,19 +4,19 @@ Two measurement processes that share the system but own separate ancillas
 are composed into one scenario through their isometries V = U (I x xi):
 applied one after the other they give the scenario's (D, d) isometry into
 the threefold space, at O(D d^2) cost. The joint outcome law is read from
-the state tensor, that isometry applied to the system state, by
-contracting each meter's projectors on its own ancilla axis. The dense
-D x D composite coupling and the evolved meters, each process meter
-conjugated by it, are built only when read, each at O(D^3) cost;
-they commute by construction: each acts on its own ancilla factor before
-the conjugation. The checks here quantify how much probability the two
+the state tensor, that isometry applied to the system state, by rotating
+each ancilla axis into its meter's eigenbasis and summing the squared
+amplitudes over each pair of branches. The dense D x D composite coupling
+and the evolved meters, each process meter conjugated by it, are built only
+when read, each at O(D^3) cost; they commute by construction: each acts on
+its own ancilla factor before the conjugation. The checks here quantify how much probability the two
 observers assign to unequal outcomes.
 
 ``verify_oit`` evaluates its seeded trials in chunks, each chunk as one
 batch of states through the same Born kernel that reads a single joint law;
-the chunk length keeps every per-chunk array near 2^16 complex entries, so
-the only memory that grows with the trial count is the seed array, 4 bytes
-per trial.
+the chunk length keeps the chunk's composite states near 2^14 complex
+entries, so the only memory that grows with the trial count is the seed
+array, 4 bytes per trial.
 
 For processes that reproduce the same sharp observable that off-diagonal
 mass vanishes: both observers always read the same value. A pair of
@@ -72,9 +72,9 @@ DEFAULT_AGREEMENT_TOL = 1e-9
 #: A computed joint distribution must sum to 1 within this bound.
 JOINT_SUM_TOL = 1e-10
 
-# verify_oit evaluates its trials in chunks whose largest per-chunk array
-# holds about this many complex entries (1 MiB), whatever the trial count.
-_CHUNK_ENTRIES = 2**16
+# verify_oit evaluates its trials in chunks whose composite states hold about
+# this many complex entries (256 KiB), whatever the trial count.
+_CHUNK_ENTRIES = 2**14
 
 
 def _check_commute(m1: Observable, m2: Observable) -> None:
@@ -247,15 +247,14 @@ def _joint_tables(scenario: JointScenario, psi: np.ndarray) -> np.ndarray:
     (T, d) array psi, shape (T, n1, n2).
 
     The composite states V psi are psi V^T, with V the scenario's stored
-    (D, d) isometry, read as a (T, d, k1, k2) tensor: O(T D d) work. Every
-    table must sum to 1 within JOINT_SUM_TOL.
+    (D, d) isometry, read as a (T, d, k1, k2) tensor: O(T D d) work, then
+    O(T D (k1 + k2)) in the Born kernel. Every table must sum to 1 within
+    JOINT_SUM_TOL.
     """
     meter1, meter2 = scenario.process1.meter, scenario.process2.meter
     d, k1, k2 = scenario.system_dim, meter1.dim, meter2.dim
     w = (psi @ scenario.isometry.T).reshape(-1, d, k1, k2)
-    probs = clamp_probability(
-        _born_table(w, np.array(meter1.spectral.projectors), np.array(meter2.spectral.projectors))
-    )
+    probs = clamp_probability(_born_table(w, meter1.spectral, meter2.spectral))
     _require_unit_sum(probs.sum(axis=(1, 2)), JOINT_SUM_TOL, "joint probabilities")
     return probs
 
@@ -267,9 +266,10 @@ def joint_distribution(scenario: JointScenario, psi: State) -> JointDistribution
     coupling applied to psi x xi1 x xi2, and reads the result w as a tensor
     over (system, ancilla 1, ancilla 2). The probability of the pair (x, y)
     is <w| I x P_x x Q_y |w>, with P_x and Q_y the spectral projectors of the
-    two process meters acting on their own ancilla axes. This equals the
-    product of the evolved meters' projectors in the composite state without
-    building them. Entries are real and nonnegative up to rounding.
+    two process meters on their own ancilla axes, read without forming them:
+    the squared amplitudes of w in both meter eigenbases, summed over branch
+    x's and branch y's columns. This equals the product of the evolved
+    meters' projectors in the composite state. Entries are nonnegative.
     """
     if psi.dim != scenario.system_dim:
         raise ValueError(
@@ -303,8 +303,7 @@ def check_intersubjectivity(
     mask is the one ``verify_oit`` reduces its batched tables with.
     """
     agree = _agreement(scenario, label_tol)
-    joint = np.array([p for _, p in joint_distribution(scenario, psi).entries])
-    joint = joint.reshape(agree.shape)
+    joint = np.array([p for _, p in joint_distribution(scenario, psi).entries]).reshape(agree.shape)
     off_mass = float(np.where(agree, 0.0, joint).sum())
     masses = np.where(agree, joint, 0.0).sum(axis=1).tolist()
     labels = scenario.process1.meter.labels
@@ -345,11 +344,10 @@ def verify_oit(
     batch axis. Each trial keeps the checks of the per-state functions
     (``check_intersubjectivity``, ``born_probabilities``): state norm,
     probability clamping and both sums, with the same bounds and errors.
-    The chunk length follows from the sizes: the largest per-chunk array
-    (composite states, D entries per trial; two-ancilla reduced states,
-    (k1 k2)^2; system reduced states, d^2) holds about 2^16 complex entries.
-    The one array that grows with the trial count is the uint32 seed array,
-    4 bytes per trial; each chunk converts only its own slice to ints.
+    A chunk holds about 2^14 complex entries of composite states, D = d k1 k2
+    per trial, and of their rotations into the meter eigenbases: its largest
+    arrays. The one array that grows with the trial count is the uint32 seed
+    array, 4 bytes per trial; each chunk converts only its own slice to ints.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -363,11 +361,10 @@ def verify_oit(
             )
     scenario = compose_joint_scenario(first, second)
     d, k1, k2 = a.dim, first.ancilla_dim, second.ancilla_dim
-    chunk = max(1, _CHUNK_ENTRIES // max(d * k1 * k2, (k1 * k2) ** 2, d * d))
+    chunk = max(1, _CHUNK_ENTRIES // (d * k1 * k2))
     # The pointer process's meter carries a's labels in a's order, so column i
     # of the diagonal mass below pairs with a's Born probability of label i.
     agree = _agreement(scenario, label_tol)
-    projectors = np.array(a.spectral.projectors)
     trial_seeds = np.random.SeedSequence(seed).generate_state(trials)
     max_off = 0.0
     max_gap = 0.0
@@ -379,8 +376,7 @@ def verify_oit(
         joint = _joint_tables(scenario, psi)
         off = np.where(agree, 0.0, joint).sum(axis=(1, 2))
         diagonal = np.where(agree, joint, 0.0).sum(axis=2)
-        born = _born_table(psi.reshape(-1, 1, d, 1), projectors, np.ones((1, 1, 1)))
-        born = clamp_probability(born[..., 0])
+        born = clamp_probability(_born_table(psi.reshape(-1, 1, d, 1), a.spectral)[..., 0])
         _require_unit_sum(born.sum(axis=1), PROBABILITY_SUM_TOL, "probabilities")
         max_off = max(max_off, float(off.max()))
         max_gap = max(max_gap, float(np.abs(diagonal - born).max()))

@@ -12,7 +12,7 @@ threads.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,9 @@ STATE_NORM_TOL = 1e-12
 
 #: Hermiticity tolerance on eigendecomposition inputs.
 HERMITIAN_TOL = 1e-12
+
+#: Schmidt coefficients at or below this are dropped.
+SCHMIDT_CUTOFF = 1e-12
 
 
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -61,12 +64,12 @@ def _is_isometry(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     return bool(np.max(np.abs(gram - np.eye(m.shape[1]))) <= tol)
 
 
-def tensor(a, b, max_dim: int = PRODUCT_DIM_GUARD) -> np.ndarray:
+def tensor(a, b) -> np.ndarray:
     """Kronecker product of two vectors or two matrices.
 
-    Any axis of the product exceeding ``max_dim`` is rejected, which keeps
-    accidental blowups from leaving the desk-scale regime this package is
-    built for.
+    Any axis of the product exceeding ``PRODUCT_DIM_GUARD`` is rejected,
+    which keeps accidental blowups from leaving the desk-scale regime this
+    package is built for.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -75,8 +78,8 @@ def tensor(a, b, max_dim: int = PRODUCT_DIM_GUARD) -> np.ndarray:
             f"tensor expects two vectors or two matrices, got shapes {a.shape} and {b.shape}"
         )
     for da, db in zip(a.shape, b.shape):
-        if da * db > max_dim:
-            raise ValueError(f"tensor product dimension {da * db} exceeds the guard {max_dim}")
+        if da * db > PRODUCT_DIM_GUARD:
+            raise ValueError(f"tensor product dimension {da * db} exceeds the guard {PRODUCT_DIM_GUARD}")
     return np.kron(a, b)
 
 
@@ -142,19 +145,23 @@ class SpectralDecomposition:
     spectral norm, which bounds every entry: ||P_x^2 - P_x|| <= (1 + tau) tau,
     ||P_x P_y|| <= (1 + tau) tau for x != y and ||sum P_x - I|| <= tau, all
     within PROJECTOR_TOL. ``branches`` forms them on first read.
+
+    The read-only ``basis`` B is kept, and block x is a view of its columns
+    ``offsets[x]:offsets[x + 1]``, so a family holds one d x d array.
     """
 
     blocks: tuple[tuple[float, np.ndarray], ...]
+    basis: np.ndarray = field(init=False, repr=False)
+    offsets: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.blocks:
             raise ValueError("spectral decomposition needs at least one branch")
         cleaned = []
         for value, block in self.blocks:
-            b = as_complex_matrix(block, "eigenvector block").copy()
+            b = as_complex_matrix(block, "eigenvector block")
             if b.shape[1] == 0:
                 raise ValueError(f"eigenvector block for eigenvalue {value} has no columns")
-            b.setflags(write=False)
             cleaned.append((float(value), b))
         values = [v for v, _ in cleaned]
         if not np.all(np.isfinite(values)):
@@ -167,7 +174,12 @@ class SpectralDecomposition:
         tau = float(np.linalg.norm(basis.conj().T @ basis - np.eye(len(basis))))
         if tau > PROJECTOR_TOL / 2:
             raise ValueError(f"eigenvectors are not orthonormal: Gram error {tau:.3e}")
-        object.__setattr__(self, "blocks", tuple(cleaned))
+        basis.setflags(write=False)
+        offsets = tuple(np.cumsum([0] + [b.shape[1] for _, b in cleaned]).tolist())
+        blocks = tuple((v, basis[:, lo:hi]) for v, lo, hi in zip(values, offsets, offsets[1:]))
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "offsets", offsets)
 
     @functools.cached_property
     def branches(self) -> tuple[tuple[float, np.ndarray], ...]:
@@ -177,7 +189,7 @@ class SpectralDecomposition:
 
     @property
     def dim(self) -> int:
-        return int(self.blocks[0][1].shape[0])
+        return len(self.basis)
 
     @property
     def eigenvalues(self) -> tuple[float, ...]:
@@ -212,13 +224,13 @@ def hermitian_eig(a, merge_tol: float = DEFAULT_MERGE_TOL) -> SpectralDecomposit
 
 
 def schmidt_decompose(
-    phi: State, dim1: int, dim2: int, cutoff: float = 1e-12
+    phi: State, dim1: int, dim2: int
 ) -> tuple[np.ndarray, tuple[State, ...], tuple[State, ...]]:
     """Schmidt decomposition of a bipartite state.
 
-    Returns nonincreasing coefficients above ``cutoff`` together with the
-    matching orthonormal bases of the two factors, so that the state is the
-    coefficient-weighted sum of pairwise tensor products.
+    Returns nonincreasing coefficients above ``SCHMIDT_CUTOFF`` together with
+    the matching orthonormal bases of the two factors, so that the state is
+    the coefficient-weighted sum of pairwise tensor products.
     """
     if dim1 < 1 or dim2 < 1:
         raise ValueError("factor dimensions must be positive")
@@ -226,7 +238,7 @@ def schmidt_decompose(
         raise ValueError(f"state dimension {phi.dim} does not factor as {dim1} x {dim2}")
     table = phi.amplitudes.reshape(dim1, dim2)
     left, coeffs, right = np.linalg.svd(table)
-    keep = coeffs > cutoff
+    keep = coeffs > SCHMIDT_CUTOFF
     coeffs = coeffs[keep]
     left_states = tuple(State(left[:, k]) for k in range(len(coeffs)))
     right_states = tuple(State(right[k, :]) for k in range(len(coeffs)))

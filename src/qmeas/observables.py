@@ -35,8 +35,8 @@ def _labels_agree(x, y, label_tol: float):
     return np.abs(np.subtract(x, y)) <= label_tol
 
 
-def clamp_probability(value, clamp_tol: float = PROBABILITY_CLAMP_TOL):
-    """Clamp rounding noise into [0, 1]; reject anything worse.
+def clamp_probability(value):
+    """Clamp rounding noise up to PROBABILITY_CLAMP_TOL into [0, 1]; reject worse.
 
     ``value`` is a float, which comes back as a float, or an ndarray, which
     is checked and clamped elementwise and comes back as an array of the same
@@ -44,10 +44,10 @@ def clamp_probability(value, clamp_tol: float = PROBABILITY_CLAMP_TOL):
     [0, 1] are returned unchanged, -0.0 included.
     """
     values = np.asarray(value, dtype=float)
-    if np.any((values < -clamp_tol) | (values > 1.0 + clamp_tol)):
+    if np.any((values < -PROBABILITY_CLAMP_TOL) | (values > 1.0 + PROBABILITY_CLAMP_TOL)):
         worst = float(values.flat[np.argmax(np.maximum(-values, values - 1.0))])
         raise NumericalConsistencyError(
-            f"probability {worst!r} lies outside [0, 1] by more than {clamp_tol}"
+            f"probability {worst!r} lies outside [0, 1] by more than {PROBABILITY_CLAMP_TOL}"
         )
     clamped = np.where(values < 0.0, 0.0, np.where(values > 1.0, 1.0, values))
     return clamped if isinstance(value, np.ndarray) else float(clamped)
@@ -97,6 +97,12 @@ class OutcomeDistribution:
         return sum((p for x, p in self.entries if _labels_agree(x, label, label_tol)), 0.0)
 
 
+def _spectral_matrix(spectral: SpectralDecomposition) -> np.ndarray:
+    """sum_x x B_x B_x^H as the one product B diag(x) B^H."""
+    values = np.repeat(spectral.eigenvalues, np.diff(spectral.offsets))
+    return (spectral.basis * values) @ spectral.basis.conj().T
+
+
 @dataclass(frozen=True, eq=False)
 class Observable:
     """Hermitian operator together with its discrete spectral family."""
@@ -108,8 +114,7 @@ class Observable:
         m = as_complex_matrix(self.matrix, "observable matrix").copy()
         if m.shape[0] != self.spectral.dim:
             raise ValueError("matrix and spectral family have different dimensions")
-        rebuilt = sum((b * x) @ b.conj().T for x, b in self.spectral.blocks)
-        if np.linalg.norm(m - rebuilt) > EFFECT_TOL:
+        if np.linalg.norm(m - _spectral_matrix(self.spectral)) > EFFECT_TOL:
             raise ValueError("matrix does not match its spectral family within 1e-10")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -122,8 +127,7 @@ class Observable:
 
     @classmethod
     def from_spectral(cls, spectral: SpectralDecomposition) -> "Observable":
-        matrix = sum((b * x) @ b.conj().T for x, b in spectral.blocks)
-        return cls(matrix, spectral)
+        return cls(_spectral_matrix(spectral), spectral)
 
     @property
     def dim(self) -> int:
@@ -211,45 +215,48 @@ class Povm:
         return tuple(e for _, e in self.outcomes)
 
 
-def _born_table(w: np.ndarray, left, right) -> np.ndarray:
-    """Born table <w| I x L_x x R_y |w> over every pair of operators.
+#: One branch on a 1-dimensional axis: the second family of a single law.
+_ONE_BRANCH = SpectralDecomposition(((0.0, np.ones((1, 1))),))
+
+
+def _born_table(w: np.ndarray, first, second=_ONE_BRANCH) -> np.ndarray:
+    """Born table <w| I x P_x x Q_y |w> over every pair of branches.
 
     ``w`` is a state tensor of shape (rest, k1, k2), or a batch of them of
-    shape (..., rest, k1, k2); ``left`` stacks n1 operators on the k1 axis
-    and ``right`` n2 operators on the k2 axis. The reduced state of the last
-    two axes comes from one matmul per state, so the cost is
-    O(rest (k1 k2)^2) per state and no operator is lifted to the full space.
-    A single family passes the 1x1 identity as ``right`` on a k2 = 1 axis.
-    Returns the real (..., n1, n2) table; entries are probabilities up to
-    rounding.
+    shape (..., rest, k1, k2); ``first`` and ``second`` are the spectral
+    families on the k1 and k2 axes. Both axes are rotated into their
+    eigenbases, B1^H w B2^*, by two 2-D matrix products, and the squared
+    moduli are summed over the rest axis and over each branch's columns:
+    O(rest k1 k2 (k1 + k2)) per state, with no projector or reduced state
+    formed. Returns the real (..., n1, n2) table, exactly nonnegative.
     """
     *batch, rest, k1, k2 = w.shape
-    flat = w.reshape(-1, rest, k1 * k2)
-    # rho[t, (b, a), (e, c)] = sum_i w[t, i, a, c] conj(w[t, i, b, e]), laid
-    # out so that p(x, y) = sum L_x[b, a] rho[t, (b, a), (e, c)] R_y[e, c].
-    rho = (flat.transpose(0, 2, 1) @ flat.conj()).reshape(-1, k1, k2, k1, k2)
-    rho = rho.transpose(0, 3, 1, 4, 2).reshape(-1, k1 * k1, k2 * k2)
-    table = left.reshape(-1, k1 * k1) @ rho @ right.reshape(-1, k2 * k2).T
-    return table.real.reshape(*batch, *table.shape[1:])
+    amps = (w.reshape(-1, k2) @ second.basis.conj()).reshape(-1, k1, k2)
+    # The rows of the second product run over (state, rest, b) and its
+    # columns over a, so its squared moduli are laid out (..., rest, k2, k1).
+    amps = amps.transpose(0, 2, 1).reshape(-1, k1) @ first.basis.conj()
+    mass = (amps.real**2 + amps.imag**2).reshape(*batch, rest, k2, k1).sum(axis=-3)
+    mass = np.add.reduceat(mass, first.offsets[:-1], axis=-1)
+    return np.swapaxes(np.add.reduceat(mass, second.offsets[:-1], axis=-2), -1, -2)
 
 
 def born_probabilities(a: Observable, psi: State) -> OutcomeDistribution:
-    """Distribution of a sharp observable in a state: quadratic forms of the
-    spectral projectors."""
+    """Distribution of a sharp observable in a state, read through the
+    eigenbasis of its spectral family."""
     if a.dim != psi.dim:
         raise ValueError(f"observable dimension {a.dim} does not match state dimension {psi.dim}")
-    vec = psi.amplitudes.reshape(1, -1, 1)
-    table = _born_table(vec, np.array(a.spectral.projectors), np.ones((1, 1, 1)))
+    table = _born_table(psi.amplitudes.reshape(1, -1, 1), a.spectral)
     return OutcomeDistribution.from_values(a.labels, table[:, 0])
 
 
 def povm_probabilities(p: Povm, psi: State) -> OutcomeDistribution:
-    """Distribution of a generalized observable in a state."""
+    """Distribution of a generalized observable in a state: one quadratic
+    form psi^H E_x psi per effect."""
     if p.dim != psi.dim:
         raise ValueError(f"POVM dimension {p.dim} does not match state dimension {psi.dim}")
-    vec = psi.amplitudes.reshape(1, -1, 1)
-    table = _born_table(vec, np.array(p.effects), np.ones((1, 1, 1)))
-    return OutcomeDistribution.from_values(p.labels, table[:, 0])
+    vec = psi.amplitudes
+    values = np.einsum("i,xij,j->x", vec.conj(), np.array(p.effects), vec)
+    return OutcomeDistribution.from_values(p.labels, values.real)
 
 
 def is_resolution_of_identity(p, tol: float = EFFECT_TOL) -> bool:

@@ -3,13 +3,13 @@
 A process couples the system to an ancilla and reads a meter observable on
 the ancilla. Its statistics are read in the Schrodinger picture: the
 coupling applied to the system state x the ancilla state gives a state
-tensor over (system, ancilla), and the meter projectors are contracted on
-its ancilla axis. Contracting the coupling with the ancilla state gives the
-isometry V = U (I x xi), and V^H (I x P_x) V is the induced generalized
-observable on the system alone, which decides whether the process
-reproduces a sharp observable's statistics. The dense meter evolved back
-through the coupling (``heisenberg_meter``) is kept as the
-Heisenberg-picture reference those contractions are tested against.
+tensor over (system, ancilla), whose ancilla axis is rotated into the
+meter's eigenbasis and summed over each branch's columns. The coupling
+applied to the ancilla state is the isometry V = U (I x xi), and
+V^H (I x P_x) V is the induced generalized observable on the system alone,
+which decides whether the process reproduces a sharp observable's
+statistics. The meter evolved back through the coupling
+(``heisenberg_meter``) is the dense Heisenberg-picture reference.
 """
 
 from __future__ import annotations
@@ -114,30 +114,27 @@ def outcome_distribution(mp: MeasurementProcess, psi: State) -> OutcomeDistribut
     if psi.dim != mp.system_dim:
         raise ValueError(f"state dimension {psi.dim} does not match system dimension {mp.system_dim}")
     w = (_isometry(mp) @ psi.amplitudes).reshape(mp.system_dim, mp.ancilla_dim, 1)
-    table = _born_table(w, np.array(mp.meter.spectral.projectors), np.ones((1, 1, 1)))
+    table = _born_table(w, mp.meter.spectral)
     return OutcomeDistribution.from_values(mp.meter.labels, table[:, 0])
 
 
 def induced_povm(mp: MeasurementProcess) -> Povm:
     """Generalized observable the process realizes on the system alone.
 
-    Forms the isometry V = U (I x xi) and each effect V^H (I x P_x) V for the
-    meter projectors P_x, at O(n d^2 k (d + k)) cost. The effects inherit the
-    meter's outcome labels and always resolve the identity.
+    Forms the isometry V = U (I x xi), rotates its ancilla index into the
+    meter's eigenbasis, W = (I x B^H) V, and splits that index by branch
+    columns of B into W_x, so that each effect V^H (I x P_x) V is W_x^H W_x,
+    at O(d^2 k (d + k)) in all. The effects inherit the meter's outcome
+    labels and always resolve the identity.
     """
     d, k = mp.system_dim, mp.ancilla_dim
-    v = _isometry(mp)
-    projectors = np.array(mp.meter.spectral.projectors)
-    # (I x P_x) V for every branch at once, as batched matmuls on the
-    # ancilla index of V's rows.
-    lifted = (projectors[:, None] @ v.reshape(d, k, d)).reshape(-1, d * k, d)
-    effects = v.conj().T @ lifted
-    return Povm(
-        tuple(
-            (value, (effect + effect.conj().T) / 2)
-            for value, effect in zip(mp.meter.labels, effects)
-        )
-    )
+    spectral = mp.meter.spectral
+    # One product with the ancilla index leading: w[a, (i, j)] is W's entry.
+    v = _isometry(mp).reshape(d, k, d).transpose(1, 0, 2).reshape(k, -1)
+    w = spectral.basis.conj().T @ v
+    parts = (w[lo:hi].reshape(-1, d) for lo, hi in zip(spectral.offsets, spectral.offsets[1:]))
+    effects = (part.conj().T @ part for part in parts)
+    return Povm(tuple((x, (e + e.conj().T) / 2) for x, e in zip(mp.meter.labels, effects)))
 
 
 def _povm_gaps(p, q, label_tol: float) -> tuple[tuple[float, float], ...] | None:

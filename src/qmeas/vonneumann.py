@@ -15,15 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    SpectralDecomposition,
-    State,
-    complete_isometry_to_unitary,
-    schmidt_decompose,
-    tensor,
-)
+from .linalg import SpectralDecomposition, State, complete_isometry_to_unitary, schmidt_decompose
 from .observables import Observable, _born_table, clamp_probability
-from .processes import MeasurementProcess, _pointer_meter
+from .processes import MeasurementProcess, _isometry, _pointer_meter
 
 #: Default tolerance for the correlation conditions.
 DEFAULT_CORRELATION_TOL = 1e-9
@@ -70,37 +64,29 @@ def build_vn_process(a: Observable) -> MeasurementProcess:
     as labels. The process reproduces the observable's statistics exactly.
     """
     n = len(a.labels)
-    coupling = sum(
-        tensor(proj, np.roll(np.eye(n, dtype=complex), k, axis=0))
-        for k, proj in enumerate(a.spectral.projectors)
-    )
+    # sum_k P_k x S^k for the cyclic shift S is U[(i, b), (j, c)] = P_{(b-c) mod n}[i, j].
+    shift = np.subtract.outer(np.arange(n), np.arange(n)) % n
+    coupling = np.array(a.spectral.projectors)[shift].transpose(2, 0, 3, 1).reshape(a.dim * n, -1)
     return MeasurementProcess(a.dim, State.basis(n, 0), coupling, _pointer_meter(a.labels))
 
 
 def entangled_state(psi: State, a: Observable) -> State:
     """Apply the pointer coupling to the system state and a fresh ancilla.
 
-    The result is the sum over branches of (projected system state) tensor
+    The result, the process isometry V = U (I x xi) applied to the system
+    state, is the sum over branches of (projected system state) tensor
     (pointer basis vector): system value and pointer position are perfectly
     correlated, with branch weights given by the Born probabilities.
     """
     if psi.dim != a.dim:
         raise ValueError(f"state dimension {psi.dim} does not match observable dimension {a.dim}")
-    mp = build_vn_process(a)
-    composite = psi.tensor(mp.ancilla_state)
-    return State(mp.coupling @ composite.amplitudes)
+    return State(_isometry(build_vn_process(a)) @ psi.amplitudes)
 
 
 def _joint_matrix(a1: Observable, a2: Observable, phi: State) -> np.ndarray:
     if phi.dim != a1.dim * a2.dim:
-        raise ValueError(
-            f"state dimension {phi.dim} does not factor as {a1.dim} x {a2.dim}"
-        )
-    table = _born_table(
-        phi.amplitudes.reshape(1, a1.dim, a2.dim),
-        np.array(a1.spectral.projectors),
-        np.array(a2.spectral.projectors),
-    )
+        raise ValueError(f"state dimension {phi.dim} does not factor as {a1.dim} x {a2.dim}")
+    table = _born_table(phi.amplitudes.reshape(1, a1.dim, a2.dim), a1.spectral, a2.spectral)
     return clamp_probability(table)
 
 

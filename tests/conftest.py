@@ -69,3 +69,19 @@ def reference_spectral_check(branches):
     total = sum(proj for _, proj in cleaned)
     if np.max(np.abs(total - np.eye(dim))) > PROJECTOR_TOL:
         raise ValueError("projectors do not sum to the identity")
+
+
+def reference_born_table(w, left, right):
+    """The operator-stack Born kernel the eigenbasis kernel replaced:
+    <w| I x L_x x R_y |w> for a stack ``left`` of n1 operators on the k1 axis
+    and a stack ``right`` of n2 operators on the k2 axis of the state tensor
+    w, shape (..., rest, k1, k2), read from the reduced state of its last two
+    axes. Returns the real (..., n1, n2) table."""
+    *batch, rest, k1, k2 = w.shape
+    flat = w.reshape(-1, rest, k1 * k2)
+    # rho[t, (b, a), (e, c)] = sum_i w[t, i, a, c] conj(w[t, i, b, e]), laid
+    # out so that p(x, y) = sum L_x[b, a] rho[t, (b, a), (e, c)] R_y[e, c].
+    rho = (flat.transpose(0, 2, 1) @ flat.conj()).reshape(-1, k1, k2, k1, k2)
+    rho = rho.transpose(0, 3, 1, 4, 2).reshape(-1, k1 * k1, k2 * k2)
+    table = left.reshape(-1, k1 * k1) @ rho @ right.reshape(-1, k2 * k2).T
+    return table.real.reshape(*batch, *table.shape[1:])

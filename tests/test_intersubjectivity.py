@@ -427,8 +427,8 @@ def rotated_observable(values, seed):
 
 
 # (observable, label_tol, trial counts that span several chunks). At d=5 a
-# nondegenerate observable has 5 branches and chunks of 104 trials, four
-# distinct eigenvalues give chunks of 256.
+# nondegenerate observable has 5 branches and chunks of 131 trials, four
+# distinct eigenvalues give chunks of 204.
 OIT_CASES = {
     "trivial-d2": (lambda: Observable.from_matrix(np.eye(2)), 1e-8, ()),
     "pauli-z": (lambda: Observable.from_matrix(PAULI_Z), 1e-8, ()),
@@ -437,25 +437,31 @@ OIT_CASES = {
     "nondegenerate-d5": (
         lambda: Observable.from_matrix(random_hermitian(5, np.random.default_rng(5))),
         1e-8,
-        (250,),
+        (350,),
     ),
     "degenerate-d5": (lambda: rotated_observable([0.0, 1.0, 1.0, 2.0, 3.0], 6), 1e-8, (600,)),
-    "wide-label-tol-d5": (lambda: rotated_observable(range(5), 7), 1.5, (250,)),
+    "wide-label-tol-d5": (lambda: rotated_observable(range(5), 7), 1.5, (350,)),
 }
 
 
-@pytest.mark.parametrize("case", sorted(OIT_CASES))
-def test_chunked_oit_matches_the_per_trial_loop(case, monkeypatch):
-    make, label_tol, long_runs = OIT_CASES[case]
-    a = make()
-    chunks = []
+@pytest.fixture
+def chunks(monkeypatch):
+    """The trial seeds of each chunk verify_oit draws, recorded in order."""
+    drawn = []
     draw = intersubjectivity._gaussian_amplitudes
 
     def recording_draw(dim, seeds):
-        chunks.append(list(seeds))
+        drawn.append(list(seeds))
         return draw(dim, seeds)
 
     monkeypatch.setattr(intersubjectivity, "_gaussian_amplitudes", recording_draw)
+    return drawn
+
+
+@pytest.mark.parametrize("case", sorted(OIT_CASES))
+def test_chunked_oit_matches_the_per_trial_loop(case, chunks):
+    make, label_tol, long_runs = OIT_CASES[case]
+    a = make()
     for trials in (1, 7, *long_runs):
         chunks.clear()
         summary = verify_oit(a, trials=trials, seed=trials, label_tol=label_tol)
@@ -469,6 +475,15 @@ def test_chunked_oit_matches_the_per_trial_loop(case, monkeypatch):
         if trials in long_runs:
             lengths = [len(chunk) for chunk in chunks]
             assert len(lengths) >= 3 and lengths[-1] < lengths[0], lengths
+
+
+def test_oit_chunks_follow_the_composite_dimension(chunks):
+    # Nondegenerate d=12: D = 12^3 = 1728 entries per trial, so a chunk of
+    # 2^14 entries holds 9 trials and 100 trials take 12 chunks.
+    a = Observable.from_matrix(random_hermitian(12, np.random.default_rng(12)))
+    assert len(a.labels) == 12
+    assert verify_oit(a, trials=100, seed=0).passes
+    assert [len(chunk) for chunk in chunks] == [9] * 11 + [1]
 
 
 def test_oit_reads_no_per_state_law(monkeypatch):

@@ -7,19 +7,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PAULI_X, PAULI_Z, random_hermitian, random_povm_outcomes
+from conftest import (
+    PAULI_X,
+    PAULI_Z,
+    random_hermitian,
+    random_povm_outcomes,
+    random_unitary,
+    reference_born_table,
+)
 from qmeas.errors import NumericalConsistencyError
 from qmeas.linalg import State, hermitian_eig, random_state
 from qmeas.observables import (
+    _ONE_BRANCH,
     Observable,
     OutcomeDistribution,
     Povm,
+    _born_table,
     born_probabilities,
     clamp_probability,
     is_projective,
     is_resolution_of_identity,
     povm_probabilities,
 )
+from qmeas.processes import _pointer_meter
 
 # ---------------------------------------------------------------------------
 # Observable
@@ -67,6 +77,70 @@ def test_from_matrix_forms_no_dense_projector_family():
         tracemalloc.stop()
     assert len(a.labels) == 128
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+# ---------------------------------------------------------------------------
+# the Born kernel against the operator-stack reference
+
+
+def spectral_family(kind, k, rng):
+    """A spectral family on k dimensions: nondegenerate in a random basis,
+    clustered (about k/2 distinct eigenvalues, each repeated, in a random
+    basis), a pointer family (unsorted labels on the standard basis) or the
+    one-branch family on a 1-dimensional axis."""
+    if kind == "one-branch":
+        return _ONE_BRANCH
+    if kind == "pointer":
+        return _pointer_meter(rng.permutation(k).astype(float)).spectral
+    if kind == "clustered":
+        values = rng.integers(0, max(1, k // 2), size=k).astype(float)
+    else:
+        values = rng.permutation(k).astype(float)
+    basis = random_unitary(k, rng)
+    return Observable.from_matrix((basis * values) @ basis.conj().T).spectral
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["nondegenerate", "clustered", "pointer"]),
+    st.sampled_from(["nondegenerate", "clustered", "pointer", "one-branch"]),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([(), (1,), (4,), (2, 3)]),
+)
+def test_born_kernel_matches_the_operator_stack_reference(seed, kind1, kind2, k1, k2, rest, batch):
+    rng = np.random.default_rng(seed)
+    first = spectral_family(kind1, k1, rng)
+    second = spectral_family(kind2, 1 if kind2 == "one-branch" else k2, rng)
+    shape = (*batch, rest, first.dim, second.dim)
+    w = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    w /= np.sqrt(np.sum(np.abs(w) ** 2, axis=(-3, -2, -1), keepdims=True))
+    got = _born_table(w, first, second)
+    want = reference_born_table(w, np.array(first.projectors), np.array(second.projectors))
+    assert got.shape == (*batch, len(first.blocks), len(second.blocks))
+    assert np.all(got >= 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    if kind2 == "one-branch":
+        np.testing.assert_array_equal(_born_table(w, first), got)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=5),
+)
+def test_povm_probabilities_match_the_operator_stack_reference(seed, dim, n):
+    povm = Povm(random_povm_outcomes(dim, n, np.random.default_rng(seed)))
+    psi = random_state(dim, seed=seed)
+    want = reference_born_table(
+        psi.amplitudes.reshape(1, -1, 1), np.array(povm.effects), np.ones((1, 1, 1))
+    )[:, 0]
+    got = povm_probabilities(povm, psi)
+    assert [x for x, _ in got.entries] == list(povm.labels)
+    assert np.max(np.abs(np.array([p for _, p in got.entries]) - want)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

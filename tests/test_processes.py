@@ -14,17 +14,24 @@ from conftest import (
     random_unitary,
     reference_spectral_check,
 )
-from qmeas.intersubjectivity import verify_oit
-from qmeas.linalg import State, random_state, tensor
+from qmeas.intersubjectivity import (
+    check_intersubjectivity,
+    compose_joint_scenario,
+    joint_distribution,
+    verify_oit,
+)
+from qmeas.linalg import SpectralDecomposition, State, random_state, tensor
 from qmeas.observables import (
     Observable,
     Povm,
+    born_probabilities,
     is_projective,
     is_resolution_of_identity,
     povm_probabilities,
 )
 from qmeas.processes import (
     MeasurementProcess,
+    _isometry,
     check_probability_reproducibility,
     effect_gaps,
     heisenberg_meter,
@@ -32,7 +39,11 @@ from qmeas.processes import (
     naimark_dilation,
     outcome_distribution,
 )
-from qmeas.vonneumann import build_vn_process, check_observable_entanglement
+from qmeas.vonneumann import (
+    build_vn_process,
+    check_observable_entanglement,
+    find_entangled_observables,
+)
 
 
 def identity_process(a: Observable) -> MeasurementProcess:
@@ -371,3 +382,59 @@ def test_statistics_never_build_the_dense_heisenberg_meter(monkeypatch):
     assert outcome_distribution(mp, random_state(3, seed=0)).as_dict().keys() == set(a.labels)
     assert effect_gaps(mp, a) is not None
     assert verify_oit(a, trials=3, seed=0).passes
+
+
+def reference_induced_effects(mp):
+    """Each effect V^H (I x P_x) V from the meter's dense projector stack, as
+    the projector-stack contraction computed it."""
+    d, k = mp.system_dim, mp.ancilla_dim
+    v = _isometry(mp)
+    projectors = np.array(mp.meter.spectral.projectors)
+    lifted = (projectors[:, None] @ v.reshape(d, k, d)).reshape(-1, d * k, d)
+    return [(e + e.conj().T) / 2 for e in v.conj().T @ lifted]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from(["random-degenerate", "random", "dilation", "pointer"]),
+)
+def test_induced_povm_matches_the_projector_stack_reference(seed, d, k, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "dilation":
+        mp = naimark_dilation(Povm(random_povm_outcomes(d, k, rng)))
+    elif kind == "pointer":
+        mp = build_vn_process(random_meter(d, rng, degenerate=k % 2 == 0))
+    else:
+        mp = random_meter_process(d, k, rng, degenerate=kind == "random-degenerate")
+    got = induced_povm(mp)
+    assert got.labels == mp.meter.labels
+    for effect, want in zip(got.effects, reference_induced_effects(mp), strict=True):
+        assert np.max(np.abs(effect - want)) <= 1e-12
+
+
+def test_statistics_form_no_dense_projector(monkeypatch):
+    rng = np.random.default_rng(21)
+    a = random_meter(4, rng, degenerate=True)
+    pointer = build_vn_process(a)
+    scenario = compose_joint_scenario(pointer, naimark_dilation(Povm.from_observable(a)))
+    psi = random_state(4, seed=21)
+    phi = random_state(12, seed=22)
+    a1, a2 = find_entangled_observables(phi, 3, 4)
+    mp = random_meter_process(3, 4, rng, degenerate=True)
+
+    def refuse(self):
+        raise AssertionError("dense projector family formed")
+
+    monkeypatch.setattr(SpectralDecomposition, "branches", property(refuse))
+    with pytest.raises(AssertionError, match="projector family formed"):
+        a.spectral.projectors
+    assert born_probabilities(a, psi).as_dict().keys() == set(a.labels)
+    assert outcome_distribution(mp, random_state(3, seed=23)).as_dict().keys() == set(mp.meter.labels)
+    assert len(joint_distribution(scenario, psi).entries) == len(a.labels) ** 2
+    assert check_intersubjectivity(scenario, psi).passes
+    assert induced_povm(mp).labels == mp.meter.labels
+    assert induced_povm(pointer).labels == a.labels
+    assert check_observable_entanglement(a1, a2, phi).is_entangled

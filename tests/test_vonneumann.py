@@ -1,5 +1,6 @@
 """Tests for the pointer-coupling construction and correlation conditions."""
 
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PAULI_Z, random_hermitian, reference_spectral_check
+from conftest import PAULI_Z, random_hermitian, random_unitary, reference_spectral_check
 from qmeas.linalg import State, random_state, schmidt_decompose, tensor
 from qmeas.observables import Observable, born_probabilities
 from qmeas.processes import check_probability_reproducibility, induced_povm, outcome_distribution
@@ -43,6 +44,20 @@ def test_coupling_is_branch_controlled_shift():
     shift = np.array([[0.0, 1.0], [1.0, 0.0]])
     want = tensor(np.diag([1.0, 0.0]), np.eye(2)) + tensor(np.diag([0.0, 1.0]), shift)
     np.testing.assert_allclose(mp.coupling, want, atol=1e-14)
+
+
+def test_coupling_matches_the_kron_sum_for_a_degenerate_observable():
+    # d=5 with three branches of ranks 2, 2 and 1, in a random basis: the
+    # coupling is read off the projector stack by index, and must equal the
+    # sum over k of P_k x S^k with S the cyclic shift on three slots.
+    basis = random_unitary(5, np.random.default_rng(5))
+    a = Observable.from_matrix((basis * np.array([0.0, 0.0, 1.0, 1.0, 2.0])) @ basis.conj().T)
+    assert len(a.labels) == 3
+    want = sum(
+        tensor(proj, np.roll(np.eye(3, dtype=complex), k, axis=0))
+        for k, proj in enumerate(a.spectral.projectors)
+    )
+    np.testing.assert_array_equal(build_vn_process(a).coupling, want)
 
 
 def test_single_branch_observable_couples_trivially():
@@ -383,3 +398,18 @@ def test_bell_state_is_perfectly_correlated():
     bell = State(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2))
     z = Observable.from_matrix(PAULI_Z)
     assert verify_perfect_correlation(z, z, bell)
+
+
+def test_check_entanglement_forms_no_reduced_state():
+    # A (d1 d2)^2 reduced state at d1 = d2 = 64 would take 256 MiB; the
+    # rotated 64 x 64 state table takes 64 KiB.
+    phi = random_state(4096, seed=3)
+    a1, a2 = find_entangled_observables(phi, 64, 64)
+    tracemalloc.start()
+    try:
+        report = check_observable_entanglement(a1, a2, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.is_entangled
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
