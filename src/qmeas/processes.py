@@ -121,18 +121,16 @@ def outcome_distribution(mp: MeasurementProcess, psi: State) -> OutcomeDistribut
 def induced_povm(mp: MeasurementProcess) -> Povm:
     """Generalized observable the process realizes on the system alone.
 
-    Forms the isometry V = U (I x xi), rotates its ancilla index into the
-    meter's eigenbasis, W = (I x B^H) V, and splits that index by branch
-    columns of B into W_x, so that each effect V^H (I x P_x) V is W_x^H W_x,
-    at O(d^2 k (d + k)) in all. The effects inherit the meter's outcome
+    Forms the isometry V = U (I x xi) and rotates its ancilla index into
+    each branch's eigenvector block B_x, W_x = (I x B_x^H) V, so that each
+    effect V^H (I x P_x) V is W_x^H W_x, at O(d^2 k (d + k)) in all. The effects inherit the meter's outcome
     labels and always resolve the identity.
     """
     d, k = mp.system_dim, mp.ancilla_dim
     spectral = mp.meter.spectral
-    # One product with the ancilla index leading: w[a, (i, j)] is W's entry.
+    # Ancilla index leading, so B_x^H v[a, (i, j)] is the block W_x.
     v = _isometry(mp).reshape(d, k, d).transpose(1, 0, 2).reshape(k, -1)
-    w = spectral.basis.conj().T @ v
-    parts = (w[lo:hi].reshape(-1, d) for lo, hi in zip(spectral.offsets, spectral.offsets[1:]))
+    parts = ((b.conj().T @ v).reshape(-1, d) for _, b in spectral.blocks)
     effects = (part.conj().T @ part for part in parts)
     return Povm(tuple((x, (e + e.conj().T) / 2) for x, e in zip(mp.meter.labels, effects)))
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpectralDecomposition, State, complete_isometry_to_unitary, schmidt_decompose
+from .linalg import PRODUCT_DIM_GUARD, SpectralDecomposition, State
+from .linalg import complete_isometry_to_unitary, schmidt_decompose
 from .observables import Observable, _born_table, clamp_probability
 from .processes import MeasurementProcess, _isometry, _pointer_meter
 
@@ -64,6 +65,8 @@ def build_vn_process(a: Observable) -> MeasurementProcess:
     as labels. The process reproduces the observable's statistics exactly.
     """
     n = len(a.labels)
+    if a.dim * n > PRODUCT_DIM_GUARD:
+        raise ValueError(f"pointer coupling dimension {a.dim * n} exceeds the guard {PRODUCT_DIM_GUARD}")
     # sum_k P_k x S^k for the cyclic shift S is U[(i, b), (j, c)] = P_{(b-c) mod n}[i, j].
     shift = np.subtract.outer(np.arange(n), np.arange(n)) % n
     coupling = np.array(a.spectral.projectors)[shift].transpose(2, 0, 3, 1).reshape(a.dim * n, -1)

@@ -73,6 +73,16 @@ def test_meter_carries_observable_labels():
     assert build_vn_process(a).meter.labels == (1.0, 2.0, 3.0)
 
 
+def test_pointer_coupling_rejects_oversized_product():
+    # 65 distinct eigenvalues on d=65: the coupling would be 4225 x 4225,
+    # past the 4096 cap, and must be refused before anything is built.
+    a = Observable.from_matrix(np.diag(np.arange(65.0)))
+    with pytest.raises(ValueError, match="guard"):
+        build_vn_process(a)
+    with pytest.raises(ValueError, match="guard"):
+        entangled_state(State.basis(65, 0), a)
+
+
 def test_pointer_process_induces_the_spectral_family():
     a = Observable.from_matrix(np.diag([1.0, 2.0, 3.0]))
     got = induced_povm(build_vn_process(a))
