@@ -28,7 +28,7 @@ from .intersubjectivity import (
     verify_oit,
 )
 from .linalg import State
-from .observables import DEFAULT_LABEL_TOL, Observable, Povm, povm_probabilities
+from .observables import Observable, Povm, povm_probabilities
 from .processes import (
     MeasurementProcess,
     _pointer_meter,
@@ -37,13 +37,13 @@ from .processes import (
     induced_povm,
     naimark_dilation,
 )
+from .tolerances import DEFAULT_LABEL_TOL, DEFAULT_TOL
 from .vonneumann import check_observable_entanglement, entangled_state
 
 SCHEMA_VERSION = "1"
 
 DEFAULT_TRIALS = 100
 DEFAULT_SEED = 0
-DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 1000
 
 # Without indent the standard library encodes through its C accelerator.

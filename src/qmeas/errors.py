@@ -5,9 +5,10 @@ class NumericalConsistencyError(RuntimeError):
     """An internally computed quantity violated a hard numerical bound.
 
     Raised when a result is wrong by far more than rounding can explain,
-    for example a probability below -1e-12, or a constructed process that
-    fails its own reproducibility precondition. These indicate a bug or a
-    numerically hostile input, never a legitimate "check failed" outcome.
+    for example a probability below -``PROBABILITY_CLAMP_TOL``, or a
+    constructed process that fails its own reproducibility precondition.
+    These indicate a bug or a numerically hostile input, never a legitimate
+    "check failed" outcome.
     """
 
 

@@ -35,7 +35,6 @@ from .errors import LocalityError, NumericalConsistencyError
 from .linalg import (
     PRODUCT_DIM_GUARD,
     State,
-    UNITARY_TOL,
     _gaussian_amplitudes,
     _is_isometry,
     _require_unit_norm,
@@ -44,8 +43,6 @@ from .linalg import (
     tensor,
 )
 from .observables import (
-    DEFAULT_LABEL_TOL,
-    PROBABILITY_SUM_TOL,
     Observable,
     Povm,
     _born_table,
@@ -61,16 +58,8 @@ from .processes import (
     check_probability_reproducibility,
     naimark_dilation,
 )
+from .tolerances import COMMUTATOR_TOL, DEFAULT_LABEL_TOL, DEFAULT_TOL, UNITARY_TOL
 from .vonneumann import build_vn_process
-
-#: Frobenius bound on the commutator of the two evolved meters.
-COMMUTATOR_TOL = 1e-9
-
-#: Default tolerance on off-diagonal probability mass.
-DEFAULT_AGREEMENT_TOL = 1e-9
-
-#: A computed joint distribution must sum to 1 within this bound.
-JOINT_SUM_TOL = 1e-10
 
 # verify_oit evaluates its trials in chunks whose composite states hold about
 # this many complex entries (256 KiB), whatever the trial count.
@@ -174,7 +163,7 @@ class JointDistribution:
         entries = tuple(((float(x), float(y)), float(p)) for (x, y), p in self.entries)
         if not np.all(np.isfinite([pair for pair, _ in entries])):
             raise ValueError("outcome labels must be finite")
-        _require_unit_sum(sum(p for _, p in entries), JOINT_SUM_TOL, "joint probabilities")
+        _require_unit_sum(sum(p for _, p in entries), "joint probabilities")
         object.__setattr__(self, "entries", entries)
 
     def as_dict(self) -> dict[tuple[float, float], float]:
@@ -196,7 +185,7 @@ class IntersubjectivityReport:
 
     def __post_init__(self) -> None:
         total = self.off_diagonal_mass + sum(self.diagonal.values())
-        _require_unit_sum(total, JOINT_SUM_TOL, "report masses")
+        _require_unit_sum(total, "report masses")
         if self.passes != (self.off_diagonal_mass <= self.tolerance_used):
             raise ValueError("pass flag contradicts the off-diagonal mass")
 
@@ -249,13 +238,13 @@ def _joint_tables(scenario: JointScenario, psi: np.ndarray) -> np.ndarray:
     The composite states V psi are psi V^T, with V the scenario's stored
     (D, d) isometry, read as a (T, d, k1, k2) tensor: O(T D d) work, then
     O(T D (k1 + k2)) in the Born kernel. Every table must sum to 1 within
-    JOINT_SUM_TOL.
+    PROBABILITY_SUM_TOL.
     """
     meter1, meter2 = scenario.process1.meter, scenario.process2.meter
     d, k1, k2 = scenario.system_dim, meter1.dim, meter2.dim
     w = (psi @ scenario.isometry.T).reshape(-1, d, k1, k2)
     probs = clamp_probability(_born_table(w, meter1.spectral, meter2.spectral))
-    _require_unit_sum(probs.sum(axis=(1, 2)), JOINT_SUM_TOL, "joint probabilities")
+    _require_unit_sum(probs.sum(axis=(1, 2)), "joint probabilities")
     return probs
 
 
@@ -291,7 +280,7 @@ def _agreement(scenario: JointScenario, label_tol: float) -> np.ndarray:
 def check_intersubjectivity(
     scenario: JointScenario,
     psi: State,
-    tol: float = DEFAULT_AGREEMENT_TOL,
+    tol: float = DEFAULT_TOL,
     label_tol: float = DEFAULT_LABEL_TOL,
 ) -> IntersubjectivityReport:
     """Measure the probability that the two observers read different values.
@@ -325,18 +314,20 @@ def verify_oit(
     a: Observable,
     trials: int = 100,
     seed: int = 0,
-    tol: float = DEFAULT_AGREEMENT_TOL,
+    tol: float = DEFAULT_TOL,
     label_tol: float = DEFAULT_LABEL_TOL,
 ) -> OitSummary:
     """Check that two reproducible measurements of one sharp observable agree.
 
     Builds two processes reproducing ``a`` (the pointer-shift construction
     and a dilation of a's projective POVM), verifies reproducibility for
-    both as a hard precondition, composes them, and runs the agreement check
-    on seeded random states. Also tracks how far the diagonal probabilities
-    drift from the Born distribution of ``a``. Per-trial seeds derive from
-    the given seed through numpy's SeedSequence, and each trial state is
-    drawn as ``random_state`` draws it, so summaries replay exactly.
+    both as a hard precondition at the default bounds (not ``tol`` and
+    ``label_tol``, which set only the agreement check), composes them, and
+    runs the agreement check on seeded random states. Also tracks how far
+    the diagonal probabilities drift from the Born distribution of ``a``.
+    Per-trial seeds derive from the given seed through numpy's SeedSequence,
+    and each trial state is drawn as ``random_state`` draws it, so summaries
+    replay exactly.
 
     The trials are evaluated in chunks, each as one batch: the chunk's
     states are normalized as one (T, d) array, and every joint law and Born
@@ -355,7 +346,7 @@ def verify_oit(
     first = build_vn_process(a)
     second = naimark_dilation(Povm.from_observable(a))
     for mp in (first, second):
-        if not check_probability_reproducibility(mp, a, tol=tol, label_tol=label_tol):
+        if not check_probability_reproducibility(mp, a):
             raise NumericalConsistencyError(
                 "constructed process fails to reproduce the observable it was built for"
             )
@@ -377,7 +368,7 @@ def verify_oit(
         off = np.where(agree, 0.0, joint).sum(axis=(1, 2))
         diagonal = np.where(agree, joint, 0.0).sum(axis=2)
         born = clamp_probability(_born_table(psi.reshape(-1, 1, d, 1), a.spectral)[..., 0])
-        _require_unit_sum(born.sum(axis=1), PROBABILITY_SUM_TOL, "probabilities")
+        _require_unit_sum(born.sum(axis=1), "probabilities")
         max_off = max(max_off, float(off.max()))
         max_gap = max(max_gap, float(np.abs(diagonal - born).max()))
         all_pass = all_pass and bool(np.all(off <= tol))

@@ -16,24 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Absolute gap below which adjacent eigenvalues are merged into one branch.
-DEFAULT_MERGE_TOL = 1e-8
+from .tolerances import HERMITIAN_TOL, MERGE_TOL, PROJECTOR_TOL, SCHMIDT_CUTOFF
+from .tolerances import STATE_NORM_TOL, UNITARY_TOL
 
 #: Hard ceiling on any axis of a tensor product.
 PRODUCT_DIM_GUARD = 4096
-
-#: Tolerance for unitarity and projector-algebra checks.
-UNITARY_TOL = 1e-10
-PROJECTOR_TOL = 1e-10
-
-#: Tolerance on state normalization.
-STATE_NORM_TOL = 1e-12
-
-#: Hermiticity tolerance on eigendecomposition inputs.
-HERMITIAN_TOL = 1e-12
-
-#: Schmidt coefficients at or below this are dropped.
-SCHMIDT_CUTOFF = 1e-12
 
 
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -46,22 +33,22 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def is_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(m) -> bool:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL)
 
 
-def is_unitary(m, tol: float = UNITARY_TOL) -> bool:
+def is_unitary(m) -> bool:
     m = np.asarray(m)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and _is_isometry(m, tol)
+    return m.ndim == 2 and m.shape[0] == m.shape[1] and _is_isometry(m)
 
 
-def _is_isometry(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    """Whether the 2-D array m has orthonormal columns, at O(rows cols^2)."""
+def _is_isometry(m: np.ndarray) -> bool:
+    """Whether m's columns are orthonormal within UNITARY_TOL, at O(rows cols^2)."""
     gram = m.conj().T @ m
-    return bool(np.max(np.abs(gram - np.eye(m.shape[1]))) <= tol)
+    return bool(np.max(np.abs(gram - np.eye(m.shape[1]))) <= UNITARY_TOL)
 
 
 def tensor(a, b) -> np.ndarray:
@@ -200,13 +187,13 @@ class SpectralDecomposition:
         return tuple(proj for _, proj in self.branches)
 
 
-def hermitian_eig(a, merge_tol: float = DEFAULT_MERGE_TOL) -> SpectralDecomposition:
+def hermitian_eig(a) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix, merging near-degenerate eigenvalues.
 
-    Consecutive eigenvalues closer than ``merge_tol`` are collapsed into a
+    Consecutive eigenvalues closer than ``MERGE_TOL`` are collapsed into a
     single branch whose block holds the corresponding eigenvectors and whose
     eigenvalue is the cluster mean. Adjacent branch eigenvalues therefore
-    always differ by more than ``merge_tol``.
+    always differ by more than ``MERGE_TOL``.
     """
     m = as_complex_matrix(a)
     if m.shape[0] != m.shape[1]:
@@ -217,7 +204,7 @@ def hermitian_eig(a, merge_tol: float = DEFAULT_MERGE_TOL) -> SpectralDecomposit
     blocks = []
     start = 0
     for stop in range(1, len(values) + 1):
-        if stop == len(values) or values[stop] - values[stop - 1] > merge_tol:
+        if stop == len(values) or values[stop] - values[stop - 1] > MERGE_TOL:
             blocks.append((float(np.mean(values[start:stop])), vectors[:, start:stop]))
             start = stop
     return SpectralDecomposition(tuple(blocks))

@@ -8,25 +8,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NumericalConsistencyError
-from .linalg import (
-    DEFAULT_MERGE_TOL,
-    SpectralDecomposition,
-    State,
-    as_complex_matrix,
-    hermitian_eig,
-)
-
-#: Tolerance on resolution-of-identity and effect-spectrum checks.
-EFFECT_TOL = 1e-10
-
-#: A computed probability distribution must sum to 1 within this bound.
-PROBABILITY_SUM_TOL = 1e-10
-
-#: Rounding slack on individual probabilities; worse values are an error.
-PROBABILITY_CLAMP_TOL = 1e-12
-
-#: Default width for matching real outcome labels between two families.
-DEFAULT_LABEL_TOL = 1e-8
+from .linalg import SpectralDecomposition, State, as_complex_matrix, hermitian_eig
+from .tolerances import DEFAULT_LABEL_TOL, EFFECT_TOL, PROBABILITY_CLAMP_TOL, PROBABILITY_SUM_TOL
 
 
 def _labels_agree(x, y, label_tol: float):
@@ -53,13 +36,16 @@ def clamp_probability(value):
     return clamped if isinstance(value, np.ndarray) else float(clamped)
 
 
-def _require_unit_sum(totals, tol: float, what: str) -> None:
+def _require_unit_sum(totals, what: str) -> None:
     """Raise NumericalConsistencyError unless every total (a float or an
-    array of them) is 1 within tol; the message names the worst one."""
+    array of them) is 1 within PROBABILITY_SUM_TOL; the message names the
+    worst one."""
     off = np.abs(np.asarray(totals, dtype=float) - 1.0)
-    if np.any(off > tol):
+    if np.any(off > PROBABILITY_SUM_TOL):
         worst = float(np.ravel(totals)[np.argmax(off)])
-        raise NumericalConsistencyError(f"{what} sum to {worst!r}, off from 1 by more than {tol}")
+        raise NumericalConsistencyError(
+            f"{what} sum to {worst!r}, off from 1 by more than {PROBABILITY_SUM_TOL}"
+        )
 
 
 @dataclass(frozen=True)
@@ -80,7 +66,7 @@ class OutcomeDistribution:
         for x, p in entries:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability {p!r} for outcome {x} is outside [0, 1]")
-        _require_unit_sum(sum(p for _, p in entries), PROBABILITY_SUM_TOL, "probabilities")
+        _require_unit_sum(sum(p for _, p in entries), "probabilities")
         object.__setattr__(self, "entries", entries)
 
     @classmethod
@@ -115,15 +101,15 @@ class Observable:
         if m.shape[0] != self.spectral.dim:
             raise ValueError("matrix and spectral family have different dimensions")
         if np.linalg.norm(m - _spectral_matrix(self.spectral)) > EFFECT_TOL:
-            raise ValueError("matrix does not match its spectral family within 1e-10")
+            raise ValueError(f"matrix does not match its spectral family within {EFFECT_TOL}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def from_matrix(cls, matrix, merge_tol: float = DEFAULT_MERGE_TOL) -> "Observable":
+    def from_matrix(cls, matrix) -> "Observable":
         """Build an observable from a Hermitian matrix, merging near-degenerate eigenvalues."""
         m = as_complex_matrix(matrix, "observable matrix")
-        return cls(m, hermitian_eig(m, merge_tol))
+        return cls(m, hermitian_eig(m))
 
     @classmethod
     def from_spectral(cls, spectral: SpectralDecomposition) -> "Observable":
@@ -144,12 +130,13 @@ def _effects_of(p) -> list[np.ndarray]:
     return [as_complex_matrix(e, f"effect {i}") for i, e in enumerate(p)]
 
 
-def effect_family_violation(effects: Sequence[np.ndarray], tol: float = EFFECT_TOL) -> str | None:
+def effect_family_violation(effects: Sequence[np.ndarray]) -> str | None:
     """Describe how a family of effects fails to resolve the identity, or None.
 
     Dimension problems raise; everything else (non-Hermitian entries, spectra
-    escaping [0, 1], a sum away from the identity) comes back as a message so
-    callers can decide between returning False and raising.
+    escaping [0, 1], a sum away from the identity, each beyond EFFECT_TOL)
+    comes back as a message so callers can decide between returning False
+    and raising.
     """
     if not effects:
         raise ValueError("at least one effect is required")
@@ -160,16 +147,16 @@ def effect_family_violation(effects: Sequence[np.ndarray], tol: float = EFFECT_T
         if effect.shape[0] != dim:
             raise ValueError("effects do not share one dimension")
     for i, effect in enumerate(effects):
-        if np.max(np.abs(effect - effect.conj().T)) > tol:
+        if np.max(np.abs(effect - effect.conj().T)) > EFFECT_TOL:
             return f"effect {i} is not Hermitian"
         spectrum = np.linalg.eigvalsh((effect + effect.conj().T) / 2)
-        if spectrum[0] < -tol or spectrum[-1] > 1.0 + tol:
+        if spectrum[0] < -EFFECT_TOL or spectrum[-1] > 1.0 + EFFECT_TOL:
             return (
                 f"effect {i} has spectrum outside [0, 1]: "
                 f"[{spectrum[0]:.6g}, {spectrum[-1]:.6g}]"
             )
     total = sum(effects)
-    if np.max(np.abs(total - np.eye(dim))) > tol:
+    if np.max(np.abs(total - np.eye(dim))) > EFFECT_TOL:
         return "effects do not sum to the identity"
     return None
 
@@ -259,22 +246,22 @@ def povm_probabilities(p: Povm, psi: State) -> OutcomeDistribution:
     return OutcomeDistribution.from_values(p.labels, values.real)
 
 
-def is_resolution_of_identity(p, tol: float = EFFECT_TOL) -> bool:
-    """Whether the effects are valid (Hermitian, spectrum in [0, 1] within tol)
-    and sum to the identity within tol. Accepts a Povm or a plain sequence of
-    matrices."""
-    return effect_family_violation(_effects_of(p), tol) is None
+def is_resolution_of_identity(p) -> bool:
+    """Whether the effects are valid (Hermitian, spectrum in [0, 1] within
+    EFFECT_TOL) and sum to the identity within EFFECT_TOL. Accepts a Povm or
+    a plain sequence of matrices."""
+    return effect_family_violation(_effects_of(p)) is None
 
 
-def is_projective(p, tol: float = EFFECT_TOL) -> bool:
+def is_projective(p) -> bool:
     """Whether every effect is idempotent and the effects are mutually
-    orthogonal, both within tol."""
+    orthogonal, both within EFFECT_TOL."""
     effects = _effects_of(p)
     for effect in effects:
-        if np.max(np.abs(effect @ effect - effect)) > tol:
+        if np.max(np.abs(effect @ effect - effect)) > EFFECT_TOL:
             return False
     for i, left in enumerate(effects):
         for right in effects[i + 1 :]:
-            if np.max(np.abs(left @ right)) > tol:
+            if np.max(np.abs(left @ right)) > EFFECT_TOL:
                 return False
     return True

@@ -22,19 +22,12 @@ from .linalg import (
     PRODUCT_DIM_GUARD,
     SpectralDecomposition,
     State,
-    UNITARY_TOL,
     as_complex_matrix,
     complete_isometry_to_unitary,
     is_unitary,
 )
-from .observables import (
-    DEFAULT_LABEL_TOL,
-    Observable,
-    OutcomeDistribution,
-    Povm,
-    _born_table,
-    _labels_agree,
-)
+from .observables import Observable, OutcomeDistribution, Povm, _born_table, _labels_agree
+from .tolerances import DEFAULT_LABEL_TOL, DEFAULT_TOL, UNITARY_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +160,7 @@ def effect_gaps(
 def check_probability_reproducibility(
     mp: MeasurementProcess,
     a: Observable,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     label_tol: float = DEFAULT_LABEL_TOL,
 ) -> bool:
     """Whether the process reproduces a sharp observable for every state.
@@ -214,12 +207,11 @@ def naimark_dilation(p: Povm) -> MeasurementProcess:
     isometry = np.zeros((d * n, d), dtype=complex)
     for index, effect in enumerate(p.effects):
         isometry[index::n, :] = _effect_sqrt(effect)
+    # Column i of the completion goes to slot order[i]: the isometry's columns
+    # to the ancilla-index-0 slots j n, the rest to the other slots in order.
+    slots = np.arange(d * n).reshape(d, n)
+    order = np.concatenate([slots[:, 0], slots[:, 1:].ravel()])
     completed = complete_isometry_to_unitary(isometry)
-    # The isometry pins the coupling's columns at ancilla index 0; the
-    # remaining completion columns fill the other slots in order.
     coupling = np.empty_like(completed)
-    pinned = [j * n for j in range(d)]
-    rest = [c for c in range(d * n) if c % n != 0]
-    coupling[:, pinned] = completed[:, :d]
-    coupling[:, rest] = completed[:, d:]
+    coupling[:, order] = completed
     return MeasurementProcess(d, State.basis(n, 0), coupling, _pointer_meter(p.labels))

@@ -19,9 +19,7 @@ from .linalg import PRODUCT_DIM_GUARD, SpectralDecomposition, State
 from .linalg import complete_isometry_to_unitary, schmidt_decompose
 from .observables import Observable, _born_table, clamp_probability
 from .processes import MeasurementProcess, _isometry, _pointer_meter
-
-#: Default tolerance for the correlation conditions.
-DEFAULT_CORRELATION_TOL = 1e-9
+from .tolerances import DEFAULT_TOL
 
 #: Names of the five correlation conditions, in evaluation order.
 CONDITION_NAMES = (
@@ -136,7 +134,7 @@ def check_observable_entanglement(
     a1: Observable,
     a2: Observable,
     phi: State,
-    tol: float = DEFAULT_CORRELATION_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> EntanglementReport:
     """Decide whether two observables are perfectly correlated in a state.
 
@@ -205,7 +203,7 @@ def verify_perfect_correlation(
     a1: Observable,
     a2: Observable,
     phi: State,
-    tol: float = DEFAULT_CORRELATION_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> bool:
     """Whether mismatched outcomes carry no probability under the best pairing.
 

@@ -2,9 +2,10 @@
 
 import numpy as np
 
-from qmeas.linalg import PROJECTOR_TOL, State
+from qmeas.linalg import State
 from qmeas.observables import Observable
 from qmeas.processes import MeasurementProcess
+from qmeas.tolerances import PROJECTOR_TOL
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Z = np.diag([1.0, -1.0])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PAULI_Z, random_povm_outcomes
+from conftest import PAULI_X, PAULI_Z, random_povm_outcomes
 from qmeas import cli
 from qmeas.errors import NumericalConsistencyError
 from qmeas.linalg import is_unitary
@@ -67,6 +67,13 @@ def test_verify_oit_passes_for_sharp_observable(tmp_path, capsys):
     assert code == 0
     assert out.startswith("verify-oit: PASS")
     assert "max_off_diagonal_mass" in out
+
+
+def test_verify_oit_zero_tol_is_a_failed_check_not_an_internal_error(tmp_path, capsys):
+    path = write_payload(tmp_path, "obs.json", {"observable": {"matrix": encode_matrix(PAULI_X)}})
+    code, out, err = run(capsys, ["verify-oit", "--input", path, "--tol", "0"])
+    assert code == 1, err
+    assert out.startswith("verify-oit: FAIL")
 
 
 def test_verify_oit_json_report(tmp_path, capsys):

@@ -511,6 +511,15 @@ def test_oit_validates_the_projective_povm_once(monkeypatch):
     assert len(validations) == 3
 
 
+def test_oit_zero_tol_fails_the_agreement_check_not_its_precondition():
+    # The reproducibility precondition keeps its own bounds, so a tolerance
+    # below rounding fails the agreement check instead of raising.
+    a = Observable.from_matrix(random_hermitian(4, np.random.default_rng(4)))
+    summary = verify_oit(a, trials=5, tol=0.0)
+    assert not summary.passes
+    assert summary.max_off_diagonal_mass > 0.0
+
+
 def test_oit_memory_is_bounded_whatever_the_trial_count():
     # One unchunked batch of 20,000 trials at d=4 (k1 = k2 = 4) would hold
     # 20,000 reduced states of 256 complex entries twice over: about 175 MiB.

@@ -20,7 +20,13 @@ from qmeas.intersubjectivity import (
     joint_distribution,
     verify_oit,
 )
-from qmeas.linalg import SpectralDecomposition, State, random_state, tensor
+from qmeas.linalg import (
+    SpectralDecomposition,
+    State,
+    complete_isometry_to_unitary,
+    random_state,
+    tensor,
+)
 from qmeas.observables import (
     Observable,
     Povm,
@@ -31,6 +37,7 @@ from qmeas.observables import (
 )
 from qmeas.processes import (
     MeasurementProcess,
+    _effect_sqrt,
     _isometry,
     check_probability_reproducibility,
     effect_gaps,
@@ -314,6 +321,23 @@ def test_dilation_rejects_oversized_product():
     p = Povm(effects)
     with pytest.raises(ValueError, match="guard"):
         naimark_dilation(p)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 3), (5, 2), (8, 8), (16, 16)])
+def test_dilation_places_completion_columns_as_before(dim, n):
+    # Reference: the isometry's columns pinned at ancilla index 0, slots
+    # j * n, and the completion columns in every other slot, in order.
+    p = Povm(random_povm_outcomes(dim, n, np.random.default_rng(dim * n)))
+    isometry = np.zeros((dim * n, dim), dtype=complex)
+    for index, effect in enumerate(p.effects):
+        isometry[index::n, :] = _effect_sqrt(effect)
+    completed = complete_isometry_to_unitary(isometry)
+    expected = np.empty_like(completed)
+    pinned = [j * n for j in range(dim)]
+    rest = [c for c in range(dim * n) if c % n != 0]
+    expected[:, pinned] = completed[:, :dim]
+    expected[:, rest] = completed[:, dim:]
+    np.testing.assert_array_equal(naimark_dilation(p).coupling, expected)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
