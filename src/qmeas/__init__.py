@@ -53,7 +53,6 @@ from .vonneumann import (
     check_observable_entanglement,
     entangled_state,
     find_entangled_observables,
-    verify_perfect_correlation,
 )
 
 __version__ = "0.1.0"
@@ -97,5 +96,4 @@ __all__ = [
     "schmidt_decompose",
     "tensor",
     "verify_oit",
-    "verify_perfect_correlation",
 ]

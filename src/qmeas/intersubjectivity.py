@@ -36,10 +36,8 @@ from .linalg import (
     PRODUCT_DIM_GUARD,
     State,
     _gaussian_amplitudes,
-    _is_isometry,
-    _require_unit_norm,
+    _gram_error,
     as_complex_matrix,
-    is_unitary,
     tensor,
 )
 from .observables import (
@@ -47,7 +45,6 @@ from .observables import (
     Povm,
     _born_table,
     _labels_agree,
-    _require_unit_sum,
     clamp_probability,
 )
 from .processes import (
@@ -58,18 +55,13 @@ from .processes import (
     check_probability_reproducibility,
     naimark_dilation,
 )
-from .tolerances import COMMUTATOR_TOL, DEFAULT_LABEL_TOL, DEFAULT_TOL, UNITARY_TOL
+from .tolerances import COMMUTATOR_TOL, DEFAULT_LABEL_TOL, DEFAULT_TOL, PROBABILITY_SUM_TOL
+from .tolerances import STATE_NORM_TOL, UNITARY_TOL, _require
 from .vonneumann import build_vn_process
 
 # verify_oit evaluates its trials in chunks whose composite states hold about
 # this many complex entries (256 KiB), whatever the trial count.
 _CHUNK_ENTRIES = 2**14
-
-
-def _check_commute(m1: Observable, m2: Observable) -> None:
-    commutator_norm = float(np.linalg.norm(m1.matrix @ m2.matrix - m2.matrix @ m1.matrix))
-    if commutator_norm > COMMUTATOR_TOL:
-        raise LocalityError(f"evolved meters do not commute: Frobenius norm {commutator_norm:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +98,7 @@ class JointScenario:
         v = as_complex_matrix(self.isometry, "isometry").copy()
         if v.shape != (self.total_dim, self.system_dim):
             raise ValueError("isometry does not match the threefold and system dimensions")
-        if not _is_isometry(v):
-            raise ValueError(f"scenario isometry is not an isometry within {UNITARY_TOL}")
+        _require("scenario isometry has orthonormal columns", _gram_error(v), UNITARY_TOL)
         v.setflags(write=False)
         object.__setattr__(self, "isometry", v)
 
@@ -128,11 +119,10 @@ class JointScenario:
         else:
             six = np.einsum("iamb,mcje->iacjbe", u1, u2, optimize=True)
         coupling = six.reshape(total, total)
-        if not is_unitary(coupling):
-            raise ValueError(f"composite coupling is not unitary within {UNITARY_TOL}")
+        _require("composite coupling is unitary", _gram_error(coupling), UNITARY_TOL)
         xi = np.outer(p1.ancilla_state.amplitudes, p2.ancilla_state.amplitudes).reshape(-1)
-        if np.max(np.abs(coupling.reshape(total, d, -1) @ xi - self.isometry)) > UNITARY_TOL:
-            raise ValueError(f"isometry differs from its processes' by more than {UNITARY_TOL}")
+        gap = np.abs(coupling.reshape(total, d, -1) @ xi - self.isometry)
+        _require("composite coupling reproduces the isometry", gap, UNITARY_TOL)
         coupling.setflags(write=False)
         return coupling
 
@@ -141,7 +131,8 @@ class JointScenario:
         d, k1, k2 = self.system_dim, self.process1.ancilla_dim, self.process2.ancilla_dim
         meter1 = _evolved(self.composite_coupling, self.process1.meter, d, k2)
         meter2 = _evolved(self.composite_coupling, self.process2.meter, d * k1, 1)
-        _check_commute(meter1, meter2)
+        commutator = np.linalg.norm(meter1.matrix @ meter2.matrix - meter2.matrix @ meter1.matrix)
+        _require("evolved meters commute", commutator, COMMUTATOR_TOL, LocalityError)
         return meter1, meter2
 
     @property
@@ -163,7 +154,8 @@ class JointDistribution:
         entries = tuple(((float(x), float(y)), float(p)) for (x, y), p in self.entries)
         if not np.all(np.isfinite([pair for pair, _ in entries])):
             raise ValueError("outcome labels must be finite")
-        _require_unit_sum(sum(p for _, p in entries), "joint probabilities")
+        gap = abs(sum(p for _, p in entries) - 1.0)
+        _require("joint probabilities sum to 1", gap, PROBABILITY_SUM_TOL, NumericalConsistencyError)
         object.__setattr__(self, "entries", entries)
 
     def as_dict(self) -> dict[tuple[float, float], float]:
@@ -184,8 +176,8 @@ class IntersubjectivityReport:
     tolerance_used: float
 
     def __post_init__(self) -> None:
-        total = self.off_diagonal_mass + sum(self.diagonal.values())
-        _require_unit_sum(total, "report masses")
+        gap = abs(self.off_diagonal_mass + sum(self.diagonal.values()) - 1.0)
+        _require("report masses sum to 1", gap, PROBABILITY_SUM_TOL, NumericalConsistencyError)
         if self.passes != (self.off_diagonal_mass <= self.tolerance_used):
             raise ValueError("pass flag contradicts the off-diagonal mass")
 
@@ -244,7 +236,8 @@ def _joint_tables(scenario: JointScenario, psi: np.ndarray) -> np.ndarray:
     d, k1, k2 = scenario.system_dim, meter1.dim, meter2.dim
     w = (psi @ scenario.isometry.T).reshape(-1, d, k1, k2)
     probs = clamp_probability(_born_table(w, meter1.spectral, meter2.spectral))
-    _require_unit_sum(probs.sum(axis=(1, 2)), "joint probabilities")
+    gap = np.abs(probs.sum(axis=(1, 2)) - 1.0)
+    _require("joint probabilities sum to 1", gap, PROBABILITY_SUM_TOL, NumericalConsistencyError)
     return probs
 
 
@@ -363,12 +356,13 @@ def verify_oit(
     for start in range(0, trials, chunk):
         psi = _gaussian_amplitudes(d, trial_seeds[start : start + chunk].tolist())
         psi /= np.linalg.norm(psi, axis=1)[:, None]
-        _require_unit_norm(np.linalg.norm(psi, axis=1))
+        _require("state has unit norm", np.abs(np.linalg.norm(psi, axis=1) - 1.0), STATE_NORM_TOL)
         joint = _joint_tables(scenario, psi)
         off = np.where(agree, 0.0, joint).sum(axis=(1, 2))
         diagonal = np.where(agree, joint, 0.0).sum(axis=2)
         born = clamp_probability(_born_table(psi.reshape(-1, 1, d, 1), a.spectral)[..., 0])
-        _require_unit_sum(born.sum(axis=1), "probabilities")
+        gap = np.abs(born.sum(axis=1) - 1.0)
+        _require("probabilities sum to 1", gap, PROBABILITY_SUM_TOL, NumericalConsistencyError)
         max_off = max(max_off, float(off.max()))
         max_gap = max(max_gap, float(np.abs(diagonal - born).max()))
         all_pass = all_pass and bool(np.all(off <= tol))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tolerances import HERMITIAN_TOL, MERGE_TOL, PROJECTOR_TOL, SCHMIDT_CUTOFF
-from .tolerances import STATE_NORM_TOL, UNITARY_TOL
+from .tolerances import STATE_NORM_TOL, UNITARY_TOL, _require
 
 #: Hard ceiling on any axis of a tensor product.
 PRODUCT_DIM_GUARD = 4096
@@ -42,13 +42,13 @@ def is_hermitian(m) -> bool:
 
 def is_unitary(m) -> bool:
     m = np.asarray(m)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and _is_isometry(m)
+    return m.ndim == 2 and m.shape[0] == m.shape[1] and _gram_error(m) <= UNITARY_TOL
 
 
-def _is_isometry(m: np.ndarray) -> bool:
-    """Whether m's columns are orthonormal within UNITARY_TOL, at O(rows cols^2)."""
-    gram = m.conj().T @ m
-    return bool(np.max(np.abs(gram - np.eye(m.shape[1]))) <= UNITARY_TOL)
+def _gram_error(m: np.ndarray) -> float:
+    """Largest entry of |m^H m - I|, the residual of m's columns being
+    orthonormal, at O(rows cols^2)."""
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))))
 
 
 def tensor(a, b) -> np.ndarray:
@@ -70,15 +70,6 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def _require_unit_norm(norms) -> None:
-    """Raise ValueError unless every norm (a float or an array of them) is 1
-    within STATE_NORM_TOL; the message names the worst one."""
-    off = np.abs(np.asarray(norms, dtype=float) - 1.0)
-    if np.any(off > STATE_NORM_TOL):
-        worst = float(np.ravel(norms)[np.argmax(off)])
-        raise ValueError(f"state norm {worst!r} deviates from 1 by more than {STATE_NORM_TOL}")
-
-
 @dataclass(frozen=True, eq=False)
 class State:
     """Unit vector in a finite-dimensional complex Hilbert space."""
@@ -91,7 +82,7 @@ class State:
             raise ValueError("state amplitudes must form a nonempty 1-D vector")
         if not np.all(np.isfinite(amps)):
             raise ValueError("state amplitudes must be finite")
-        _require_unit_norm(float(np.linalg.norm(amps)))
+        _require("state has unit norm", abs(np.linalg.norm(amps) - 1.0), STATE_NORM_TOL)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -101,12 +92,20 @@ class State:
 
     @classmethod
     def normalized(cls, amplitudes) -> "State":
-        """Normalize an arbitrary nonzero vector into a State."""
+        """Normalize an arbitrary nonzero vector into a State.
+
+        The vector is first scaled by the power of two 2^-e that brings its
+        largest modulus into [1/2, 1), which is exact, so the norm neither
+        underflows nor overflows at any finite scale.
+        """
         vec = np.asarray(amplitudes, dtype=complex)
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
+        peak = np.max(np.abs(vec), initial=0.0)
+        if peak == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return cls(vec / norm)
+        e = np.frexp(peak)[1]
+        scaled = np.empty_like(vec)
+        scaled.real, scaled.imag = np.ldexp(vec.real, -e), np.ldexp(vec.imag, -e)
+        return cls(scaled / np.linalg.norm(scaled))
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "State":
@@ -158,9 +157,8 @@ class SpectralDecomposition:
         basis = np.hstack([b for _, b in cleaned])
         if basis.shape[0] != basis.shape[1]:
             raise ValueError(f"eigenvector blocks form a {basis.shape} basis, not a square one")
-        tau = float(np.linalg.norm(basis.conj().T @ basis - np.eye(len(basis))))
-        if tau > PROJECTOR_TOL / 2:
-            raise ValueError(f"eigenvectors are not orthonormal: Gram error {tau:.3e}")
+        tau = np.linalg.norm(basis.conj().T @ basis - np.eye(len(basis)))
+        _require("eigenvectors are orthonormal", tau, PROJECTOR_TOL / 2)
         basis.setflags(write=False)
         offsets = tuple(np.cumsum([0] + [b.shape[1] for _, b in cleaned]).tolist())
         blocks = tuple((v, basis[:, lo:hi]) for v, lo, hi in zip(values, offsets, offsets[1:]))
@@ -198,8 +196,7 @@ def hermitian_eig(a) -> SpectralDecomposition:
     m = as_complex_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    if not is_hermitian(m):
-        raise ValueError(f"matrix is not Hermitian within {HERMITIAN_TOL}")
+    _require("matrix is Hermitian", np.max(np.abs(m - m.conj().T)), HERMITIAN_TOL)
     values, vectors = np.linalg.eigh(m)
     blocks = []
     start = 0
@@ -243,8 +240,7 @@ def complete_isometry_to_unitary(v) -> np.ndarray:
     rows, cols = m.shape
     if rows < cols:
         raise ValueError(f"isometry must be tall, got shape {m.shape}")
-    if not _is_isometry(m):
-        raise ValueError(f"columns are not orthonormal within {UNITARY_TOL}")
+    _require("isometry columns are orthonormal", _gram_error(m), UNITARY_TOL)
     q, _ = np.linalg.qr(m, mode="complete")
     return np.hstack([m, q[:, cols:]])
 

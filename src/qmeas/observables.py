@@ -10,6 +10,7 @@ import numpy as np
 from .errors import NumericalConsistencyError
 from .linalg import SpectralDecomposition, State, as_complex_matrix, hermitian_eig
 from .tolerances import DEFAULT_LABEL_TOL, EFFECT_TOL, PROBABILITY_CLAMP_TOL, PROBABILITY_SUM_TOL
+from .tolerances import _require
 
 
 def _labels_agree(x, y, label_tol: float):
@@ -23,29 +24,14 @@ def clamp_probability(value):
 
     ``value`` is a float, which comes back as a float, or an ndarray, which
     is checked and clamped elementwise and comes back as an array of the same
-    shape. The error names the value farthest outside [0, 1]. Values inside
-    [0, 1] are returned unchanged, -0.0 included.
+    shape. The error names the largest distance outside [0, 1]; NaN is
+    rejected. Values inside [0, 1] are returned unchanged, -0.0 included.
     """
     values = np.asarray(value, dtype=float)
-    if np.any((values < -PROBABILITY_CLAMP_TOL) | (values > 1.0 + PROBABILITY_CLAMP_TOL)):
-        worst = float(values.flat[np.argmax(np.maximum(-values, values - 1.0))])
-        raise NumericalConsistencyError(
-            f"probability {worst!r} lies outside [0, 1] by more than {PROBABILITY_CLAMP_TOL}"
-        )
+    outside = np.maximum(-values, values - 1.0)
+    _require("probability in [0, 1]", outside, PROBABILITY_CLAMP_TOL, NumericalConsistencyError)
     clamped = np.where(values < 0.0, 0.0, np.where(values > 1.0, 1.0, values))
     return clamped if isinstance(value, np.ndarray) else float(clamped)
-
-
-def _require_unit_sum(totals, what: str) -> None:
-    """Raise NumericalConsistencyError unless every total (a float or an
-    array of them) is 1 within PROBABILITY_SUM_TOL; the message names the
-    worst one."""
-    off = np.abs(np.asarray(totals, dtype=float) - 1.0)
-    if np.any(off > PROBABILITY_SUM_TOL):
-        worst = float(np.ravel(totals)[np.argmax(off)])
-        raise NumericalConsistencyError(
-            f"{what} sum to {worst!r}, off from 1 by more than {PROBABILITY_SUM_TOL}"
-        )
 
 
 @dataclass(frozen=True)
@@ -66,7 +52,8 @@ class OutcomeDistribution:
         for x, p in entries:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability {p!r} for outcome {x} is outside [0, 1]")
-        _require_unit_sum(sum(p for _, p in entries), "probabilities")
+        gap = abs(sum(p for _, p in entries) - 1.0)
+        _require("probabilities sum to 1", gap, PROBABILITY_SUM_TOL, NumericalConsistencyError)
         object.__setattr__(self, "entries", entries)
 
     @classmethod
@@ -100,8 +87,8 @@ class Observable:
         m = as_complex_matrix(self.matrix, "observable matrix").copy()
         if m.shape[0] != self.spectral.dim:
             raise ValueError("matrix and spectral family have different dimensions")
-        if np.linalg.norm(m - _spectral_matrix(self.spectral)) > EFFECT_TOL:
-            raise ValueError(f"matrix does not match its spectral family within {EFFECT_TOL}")
+        gap = np.linalg.norm(m - _spectral_matrix(self.spectral))
+        _require("matrix matches its spectral family", gap, EFFECT_TOL)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -113,7 +100,14 @@ class Observable:
 
     @classmethod
     def from_spectral(cls, spectral: SpectralDecomposition) -> "Observable":
-        return cls(_spectral_matrix(spectral), spectral)
+        """The observable sum_x x B_x B_x^H. Its matrix is formed from the
+        family, so it is not compared with the family again."""
+        m = as_complex_matrix(_spectral_matrix(spectral), "observable matrix")
+        m.setflags(write=False)
+        observable = object.__new__(cls)
+        object.__setattr__(observable, "matrix", m)
+        object.__setattr__(observable, "spectral", spectral)
+        return observable
 
     @property
     def dim(self) -> int:

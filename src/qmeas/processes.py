@@ -22,12 +22,12 @@ from .linalg import (
     PRODUCT_DIM_GUARD,
     SpectralDecomposition,
     State,
+    _gram_error,
     as_complex_matrix,
     complete_isometry_to_unitary,
-    is_unitary,
 )
 from .observables import Observable, OutcomeDistribution, Povm, _born_table, _labels_agree
-from .tolerances import DEFAULT_LABEL_TOL, DEFAULT_TOL, UNITARY_TOL
+from .tolerances import DEFAULT_LABEL_TOL, DEFAULT_TOL, UNITARY_TOL, _require
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,8 +54,7 @@ class MeasurementProcess:
             raise ValueError(
                 f"coupling shape {u.shape} does not match system x ancilla dimension {total}"
             )
-        if not is_unitary(u):
-            raise ValueError(f"coupling is not unitary within {UNITARY_TOL}")
+        _require("coupling is unitary", _gram_error(u), UNITARY_TOL)
         if self.meter.dim != self.ancilla_state.dim:
             raise ValueError("meter dimension does not match the ancilla")
         u.setflags(write=False)

@@ -1,8 +1,12 @@
-"""Every numerical bound the package compares a computed residual against.
+"""Every numerical bound the package compares a computed residual against,
+and the one rule that compares them.
 
 A bound has one meaning, so two bounds stay separate even where their values
 are equal. Size limits such as ``linalg.PRODUCT_DIM_GUARD`` live with their code.
+Every check that raises passes its residual and bound to ``_require``.
 """
+
+import numpy as np
 
 #: Adjacent eigenvalues closer than this merge into one spectral branch.
 MERGE_TOL = 1e-8
@@ -34,3 +38,14 @@ DEFAULT_LABEL_TOL = 1e-8
 #: Default bound of every check a caller can set: off-diagonal mass, effect
 #: gaps, correlation conditions and the dilation round trip.
 DEFAULT_TOL = 1e-9
+
+
+def _require(check: str, residual, bound: float, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` naming the check, the residual and the bound unless the
+    largest residual (a float or an array of them) is at most ``bound``.
+
+    A NaN residual never passes, since NaN <= bound is false.
+    """
+    r = float(np.max(residual, initial=-np.inf))
+    if not r <= bound:
+        raise error(f"{check}: residual {r!r} exceeds the bound {bound!r}")

@@ -197,19 +197,3 @@ def find_entangled_observables(
         return Observable.from_spectral(SpectralDecomposition(blocks))
 
     return ladder_observable(left_states), ladder_observable(right_states)
-
-
-def verify_perfect_correlation(
-    a1: Observable,
-    a2: Observable,
-    phi: State,
-    tol: float = DEFAULT_TOL,
-) -> bool:
-    """Whether mismatched outcomes carry no probability under the best pairing.
-
-    Sums the joint probability of every branch combination off the pairing
-    (equivalently, one minus the paired mass) and compares against tol.
-    """
-    report = check_observable_entanglement(a1, a2, phi, tol)
-    off_mass = float(report.joint.sum() - sum(report.joint[k, m] for k, m in report.pairing))
-    return off_mass <= tol

@@ -109,6 +109,18 @@ def test_state_normalized_constructor():
     assert psi.dim == 2
 
 
+@pytest.mark.parametrize("scale", [1e-310, 1e-170, 1e200])
+def test_state_normalized_takes_tiny_and_huge_vectors(scale):
+    # Under the suite's warnings-as-errors filter an overflow warning fails too.
+    psi = State.normalized(scale * np.array([3.0, 4.0]))
+    np.testing.assert_allclose(psi.amplitudes, [0.6, 0.8], rtol=1e-12)
+
+
+def test_state_normalized_rejects_the_zero_vector():
+    with pytest.raises(ValueError, match="zero vector"):
+        State.normalized(np.zeros(3))
+
+
 def test_state_basis():
     e1 = State.basis(3, 1)
     np.testing.assert_array_equal(e1.amplitudes, [0.0, 1.0, 0.0])

@@ -15,6 +15,7 @@ from conftest import (
     random_unitary,
     reference_born_table,
 )
+from qmeas import observables
 from qmeas.errors import NumericalConsistencyError
 from qmeas.linalg import State, hermitian_eig, random_state
 from qmeas.observables import (
@@ -58,6 +59,20 @@ def test_observable_rejects_mismatched_spectral():
     spec = hermitian_eig(PAULI_Z)
     with pytest.raises(ValueError):
         Observable(np.eye(2), spec)
+
+
+def test_from_spectral_forms_its_matrix_once(monkeypatch):
+    calls = []
+    form = observables._spectral_matrix
+    monkeypatch.setattr(observables, "_spectral_matrix", lambda s: calls.append(s) or form(s))
+    spec = hermitian_eig(np.diag([1.0, 2.0, 2.0]))
+    a = Observable.from_spectral(spec)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(a.matrix, form(spec))
+    assert not a.matrix.flags.writeable
+    with pytest.raises(ValueError, match="matrix matches its spectral family"):
+        Observable(np.diag([1.0, 2.0, 3.0]), spec)
+    assert len(calls) == 2
 
 
 def test_observable_merges_degeneracies():
@@ -338,7 +353,7 @@ def test_clamp_takes_an_array_elementwise():
 
 
 def test_clamp_rejects_an_array_naming_its_worst_value():
-    with pytest.raises(NumericalConsistencyError, match=r"probability -2e-11 lies outside"):
+    with pytest.raises(NumericalConsistencyError, match=r"residual 2e-11 exceeds the bound 1e-12"):
         clamp_probability(np.array([[0.5, -1e-11], [-2e-11, 1.0 + 5e-12]]))
 
 

@@ -1,9 +1,19 @@
-"""Guard for the one table of numerical bounds, ``qmeas.tolerances``."""
+"""Guard for the one table of numerical bounds, ``qmeas.tolerances``, and
+for the one rule that compares a residual with its bound."""
 
 import ast
+import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import qmeas
+from qmeas.errors import NumericalConsistencyError
+from qmeas.intersubjectivity import IntersubjectivityReport, JointDistribution
+from qmeas.linalg import SpectralDecomposition, State, hermitian_eig
+from qmeas.observables import Observable, OutcomeDistribution, clamp_probability
+from qmeas.processes import MeasurementProcess
 
 PACKAGE = Path(qmeas.__file__).parent
 
@@ -67,3 +77,85 @@ def test_every_bound_is_documented_and_read_elsewhere():
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     assert sorted(set(bounds) - read) == []
+
+
+#: Predicates that compare a residual with a bound inside their own body.
+PREDICATES = {"is_hermitian", "is_unitary", "_is_isometry"}
+
+
+def hand_checks(tree, bounds):
+    """Line of each ``if`` that raises and whose test compares with a bound
+    or calls one of PREDICATES: a residual check written out by hand."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.If):
+            continue
+        raises = any(isinstance(sub, ast.Raise) for stmt in node.body for sub in ast.walk(stmt))
+        test = list(ast.walk(node.test))
+        compares = any(isinstance(sub, ast.Compare) and bounds & names(sub) for sub in test)
+        calls = any(
+            isinstance(sub, ast.Call) and ast.unparse(sub.func).split(".")[-1] in PREDICATES
+            for sub in test
+        )
+        if raises and (compares or calls):
+            yield node.lineno
+
+
+def names(node):
+    return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+
+
+def test_every_raised_residual_check_goes_through_require():
+    bounds = set(dict(module_floats(parse("tolerances.py"))))
+    sites = [
+        f"{name}:{line}" for name in other_modules() for line in hand_checks(parse(name), bounds)
+    ]
+    assert sites == []
+
+
+def qubit_process(coupling):
+    meter = Observable.from_matrix(np.diag([0.0, 1.0]))
+    return MeasurementProcess(2, State.basis(2, 0), coupling, meter)
+
+
+@pytest.mark.parametrize(
+    "build, error, check, residual, bound",
+    [
+        (lambda: qubit_process(2 * np.eye(4)), ValueError, "coupling is unitary", 3.0, 1e-10),
+        (lambda: hermitian_eig([[0, 1], [0, 0]]), ValueError, "matrix is Hermitian", 1.0, 1e-12),
+        (
+            lambda: SpectralDecomposition(((0.0, [[2.0], [0.0]]), (1.0, [[0.0], [1.0]]))),
+            ValueError,
+            "eigenvectors are orthonormal",
+            3.0,
+            5e-11,
+        ),
+        (lambda: State(np.array([2.0, 0.0])), ValueError, "state has unit norm", 1.0, 1e-12),
+        (
+            lambda: OutcomeDistribution(((0.0, 0.5), (1.0, 0.4))),
+            NumericalConsistencyError,
+            "probabilities sum to 1",
+            abs(0.5 + 0.4 - 1.0),
+            1e-10,
+        ),
+    ],
+    ids=["coupling", "hermitian", "basis", "state", "sum"],
+)
+def test_a_failed_check_names_its_residual_and_bound(build, error, check, residual, bound):
+    message = f"{check}: residual {residual!r} exceeds the bound {bound!r}"
+    with pytest.raises(error, match=re.escape(message)) as caught:
+        build()
+    assert caught.type is error
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: clamp_probability(float("nan")),
+        lambda: JointDistribution((((0.0, 0.0), float("nan")), ((1.0, 1.0), 1.0))),
+        lambda: IntersubjectivityReport(float("nan"), {0.0: 1.0}, False, 1e-9),
+    ],
+    ids=["clamp", "joint-distribution", "report"],
+)
+def test_a_nan_residual_never_passes(build):
+    with pytest.raises(NumericalConsistencyError, match="residual nan"):
+        build()

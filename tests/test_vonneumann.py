@@ -19,7 +19,6 @@ from qmeas.vonneumann import (
     check_observable_entanglement,
     entangled_state,
     find_entangled_observables,
-    verify_perfect_correlation,
 )
 
 
@@ -389,25 +388,29 @@ def test_find_observables_random_bipartite(seed):
 
 
 # ---------------------------------------------------------------------------
-# verify_perfect_correlation
+# paired_mass_unity
+
+
+def paired_mass_unity(a1, a2, phi):
+    return check_observable_entanglement(a1, a2, phi).condition_results["paired_mass_unity"]
 
 
 def test_pointer_output_is_perfectly_correlated():
     a = Observable.from_matrix(np.diag([1.0, 2.0, 3.0]))
     phi = entangled_state(random_state(3, seed=5), a)
-    assert verify_perfect_correlation(a, build_vn_process(a).meter, phi)
+    assert paired_mass_unity(a, build_vn_process(a).meter, phi)
 
 
 def test_product_state_is_not_perfectly_correlated():
     phi = State.basis(2, 0).tensor(State.normalized([1.0, 1.0]))
     z = Observable.from_matrix(PAULI_Z)
-    assert not verify_perfect_correlation(z, z, phi)
+    assert not paired_mass_unity(z, z, phi)
 
 
 def test_bell_state_is_perfectly_correlated():
     bell = State(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2))
     z = Observable.from_matrix(PAULI_Z)
-    assert verify_perfect_correlation(z, z, bell)
+    assert paired_mass_unity(z, z, bell)
 
 
 def test_check_entanglement_forms_no_reduced_state():
