@@ -19,9 +19,9 @@ entries, so the only memory that grows with the trial count is the seed
 array, 4 bytes per trial.
 
 For processes that reproduce the same sharp observable that off-diagonal
-mass vanishes: both observers always read the same value. A pair of
-processes realizing the uninformative qubit POVM shows the sharp hypothesis
-is essential: each observer sees a fair coin, independently of the other.
+mass vanishes: both observers always read the same value. Two dilations of
+the uninformative qubit POVM show the sharp hypothesis is essential: each
+observer sees a fair coin, independently of the other.
 """
 
 from __future__ import annotations
@@ -32,14 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LocalityError, NumericalConsistencyError
-from .linalg import (
-    PRODUCT_DIM_GUARD,
-    State,
-    _gaussian_amplitudes,
-    _gram_error,
-    as_complex_matrix,
-    tensor,
-)
+from .linalg import PRODUCT_DIM_GUARD, State, _gaussian_amplitudes, _gram_error, as_complex_matrix
 from .observables import (
     Observable,
     Povm,
@@ -50,8 +43,6 @@ from .observables import (
 from .processes import (
     MeasurementProcess,
     _evolved,
-    _isometry,
-    _pointer_meter,
     check_probability_reproducibility,
     naimark_dilation,
 )
@@ -212,8 +203,8 @@ def compose_joint_scenario(
     total = d * k1 * k2
     if total > PRODUCT_DIM_GUARD:
         raise ValueError(f"composite dimension {total} exceeds the guard {PRODUCT_DIM_GUARD}")
-    v1 = _isometry(p1).reshape(d, k1, d)
-    v2 = _isometry(p2).reshape(d, k2, d)
+    v1 = p1.isometry.reshape(d, k1, d)
+    v2 = p2.isometry.reshape(d, k2, d)
     # Rows are (system, ancilla 1, ancilla 2), the column is the input
     # system index; m is the system index between the two isometries.
     if first == 1:
@@ -380,17 +371,14 @@ def counterexample_uninformative_povm() -> tuple[Povm, JointScenario]:
     """Two independent realizations of the uninformative qubit POVM.
 
     Both effects equal half the identity, so the system state fixes nothing:
-    each process flips its own ancilla into an even superposition and reads a
-    fair coin off it. The induced POVM of each process is the target POVM,
-    yet the joint distribution is uniform and the observers disagree with
-    probability one half for every system state.
+    the POVM's Naimark dilation leaves the system as it is, puts its ancilla
+    in an even superposition and reads a fair coin off it. Two copies induce
+    the target POVM, yet the joint distribution is uniform and the observers
+    disagree with probability one half for every system state.
     """
     half = np.eye(2, dtype=complex) / 2
     povm = Povm(((0.0, half), (1.0, half)))
-    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-    coupling = tensor(np.eye(2), hadamard)
-    process = MeasurementProcess(2, State.basis(2, 0), coupling, _pointer_meter((0.0, 1.0)))
-    return povm, compose_joint_scenario(process, process)
+    return povm, compose_joint_scenario(naimark_dilation(povm), naimark_dilation(povm))
 
 
 def sample_outcomes(

@@ -33,18 +33,6 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def is_hermitian(m) -> bool:
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return bool(np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL)
-
-
-def is_unitary(m) -> bool:
-    m = np.asarray(m)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and _gram_error(m) <= UNITARY_TOL
-
-
 def _gram_error(m: np.ndarray) -> float:
     """Largest entry of |m^H m - I|, the residual of m's columns being
     orthonormal, at O(rows cols^2)."""

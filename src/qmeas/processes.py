@@ -1,19 +1,19 @@
 """Indirect measurement processes: ancilla, coupling, meter, and what they induce.
 
 A process couples the system to an ancilla and reads a meter observable on
-the ancilla. Its statistics are read in the Schrodinger picture: the
-coupling applied to the system state x the ancilla state gives a state
-tensor over (system, ancilla), whose ancilla axis is rotated into the
-meter's eigenbasis and summed over each branch's columns. The coupling
-applied to the ancilla state is the isometry V = U (I x xi), and
-V^H (I x P_x) V is the induced generalized observable on the system alone,
-which decides whether the process reproduces a sharp observable's
-statistics. The meter evolved back through the coupling
-(``heisenberg_meter``) is the dense Heisenberg-picture reference.
+the ancilla; it is held as its isometry V = U (I x xi), the coupling applied
+to the ancilla state. V applied to a system state gives a state tensor over
+(system, ancilla), whose ancilla axis is rotated into the meter's eigenbasis
+and summed over each branch's columns, and V^H (I x P_x) V is the induced
+generalized observable on the system alone, which decides whether the
+process reproduces a sharp observable's statistics. The coupling and the
+meter evolved back through it (``heisenberg_meter``, the dense
+Heisenberg-picture reference) are formed only when read.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,35 +30,62 @@ from .observables import Observable, OutcomeDistribution, Povm, _born_table, _la
 from .tolerances import DEFAULT_LABEL_TOL, DEFAULT_TOL, UNITARY_TOL, _require
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MeasurementProcess:
     """Ancilla state, coupling unitary, and meter observable for one apparatus.
 
-    The coupling acts on the system tensor the ancilla (system factor first);
-    the meter lives on the ancilla alone. Statistics and the induced POVM
-    are read from the coupling and the ancilla state directly; only
-    ``heisenberg_meter`` builds the dense evolved meter.
+    U acts on the system tensor the ancilla (system factor first); the meter
+    lives on the ancilla alone. The data is the isometry V = U (I x xi), shape
+    (D, d) for D = d k: a given U is checked unitary at O(D^3) and V read off
+    it once; the package's builders pass V and form U when it is read.
     """
 
     system_dim: int
     ancilla_state: State
-    coupling: np.ndarray
+    isometry: np.ndarray
     meter: Observable
 
-    def __post_init__(self) -> None:
-        if self.system_dim < 1:
+    def __init__(self, system_dim: int, ancilla_state: State, coupling, meter: Observable) -> None:
+        if system_dim < 1:
             raise ValueError("system dimension must be positive")
-        u = as_complex_matrix(self.coupling, "coupling").copy()
-        total = self.system_dim * self.ancilla_state.dim
+        u = as_complex_matrix(coupling, "coupling").copy()
+        total = system_dim * ancilla_state.dim
         if u.shape != (total, total):
             raise ValueError(
                 f"coupling shape {u.shape} does not match system x ancilla dimension {total}"
             )
         _require("coupling is unitary", _gram_error(u), UNITARY_TOL)
-        if self.meter.dim != self.ancilla_state.dim:
+        if meter.dim != ancilla_state.dim:
             raise ValueError("meter dimension does not match the ancilla")
         u.setflags(write=False)
-        object.__setattr__(self, "coupling", u)
+        v = u.reshape(total, system_dim, -1) @ ancilla_state.amplitudes
+        v.setflags(write=False)
+        fields = dict(system_dim=system_dim, ancilla_state=ancilla_state, isometry=v, meter=meter)
+        vars(self).update(fields, coupling=u)
+
+    @classmethod
+    def _from_isometry(cls, d: int, labels, isometry, complete) -> "MeasurementProcess":
+        """The pointer process with ancilla |0>, ``_pointer_meter(labels)``,
+        isometry V = ``isometry()`` and coupling ``complete(V)``, formed on
+        first read. D = d k is held to PRODUCT_DIM_GUARD before V or the meter
+        exists; V^H V = I is checked within UNITARY_TOL at O(D d^2)."""
+        total = d * len(labels)
+        if total > PRODUCT_DIM_GUARD:
+            raise ValueError(f"coupling dimension {total} exceeds the guard {PRODUCT_DIM_GUARD}")
+        v = isometry()
+        _require("isometry has orthonormal columns", _gram_error(v), UNITARY_TOL)
+        v.setflags(write=False)
+        mp = object.__new__(cls)
+        fields = dict(system_dim=d, ancilla_state=State.basis(len(labels), 0), isometry=v)
+        vars(mp).update(fields, meter=_pointer_meter(labels), _complete=complete)
+        return mp
+
+    @functools.cached_property
+    def coupling(self) -> np.ndarray:
+        """The read-only D x D coupling U."""
+        u = self._complete(self.isometry)
+        u.setflags(write=False)
+        return u
 
     @property
     def ancilla_dim(self) -> int:
@@ -91,21 +118,15 @@ def heisenberg_meter(mp: MeasurementProcess) -> Observable:
     return _evolved(mp.coupling, mp.meter, mp.system_dim, 1)
 
 
-def _isometry(mp: MeasurementProcess) -> np.ndarray:
-    """V = U (I x xi): the coupling applied to the ancilla state, shape (d k, d)."""
-    d, k = mp.system_dim, mp.ancilla_dim
-    return mp.coupling.reshape(d * k, d, k) @ mp.ancilla_state.amplitudes
-
-
 def outcome_distribution(mp: MeasurementProcess, psi: State) -> OutcomeDistribution:
     """Meter outcome statistics for a system state.
 
-    Applies the coupling to the system state x the ancilla state and reads
-    the meter's spectral family on the ancilla axis of the result.
+    Applies the isometry V, the coupling at the ancilla state, to the system
+    state and reads the meter's spectral family on the ancilla axis of the result.
     """
     if psi.dim != mp.system_dim:
         raise ValueError(f"state dimension {psi.dim} does not match system dimension {mp.system_dim}")
-    w = (_isometry(mp) @ psi.amplitudes).reshape(mp.system_dim, mp.ancilla_dim, 1)
+    w = (mp.isometry @ psi.amplitudes).reshape(mp.system_dim, mp.ancilla_dim, 1)
     table = _born_table(w, mp.meter.spectral)
     return OutcomeDistribution.from_values(mp.meter.labels, table[:, 0])
 
@@ -113,15 +134,15 @@ def outcome_distribution(mp: MeasurementProcess, psi: State) -> OutcomeDistribut
 def induced_povm(mp: MeasurementProcess) -> Povm:
     """Generalized observable the process realizes on the system alone.
 
-    Forms the isometry V = U (I x xi) and rotates its ancilla index into
-    each branch's eigenvector block B_x, W_x = (I x B_x^H) V, so that each
-    effect V^H (I x P_x) V is W_x^H W_x, at O(d^2 k (d + k)) in all. The effects inherit the meter's outcome
-    labels and always resolve the identity.
+    Rotates the ancilla index of the isometry V = U (I x xi) into each
+    branch's eigenvector block B_x, W_x = (I x B_x^H) V, so that each effect
+    V^H (I x P_x) V is W_x^H W_x, at O(d^2 k (d + k)) in all. The effects
+    inherit the meter's outcome labels and always resolve the identity.
     """
     d, k = mp.system_dim, mp.ancilla_dim
     spectral = mp.meter.spectral
     # Ancilla index leading, so B_x^H v[a, (i, j)] is the block W_x.
-    v = _isometry(mp).reshape(d, k, d).transpose(1, 0, 2).reshape(k, -1)
+    v = mp.isometry.reshape(d, k, d).transpose(1, 0, 2).reshape(k, -1)
     parts = ((b.conj().T @ v).reshape(-1, d) for _, b in spectral.blocks)
     effects = (part.conj().T @ part for part in parts)
     return Povm(tuple((x, (e + e.conj().T) / 2) for x, e in zip(mp.meter.labels, effects)))
@@ -193,24 +214,24 @@ def _effect_sqrt(effect: np.ndarray) -> np.ndarray:
 def naimark_dilation(p: Povm) -> MeasurementProcess:
     """Measurement process on a larger space realizing a given POVM exactly.
 
-    The ancilla carries one basis vector per outcome. The coupling extends
-    the isometry sending a system state to the sum over outcomes of
-    (sqrt-effect applied to the state) tensor the outcome's basis vector; the
-    meter is diagonal in the ancilla basis with the POVM's labels. The
-    induced POVM of the result is the input again.
+    The ancilla carries one basis vector per outcome. The process isometry
+    sends a system state to the sum over outcomes of (sqrt-effect applied to
+    the state) tensor the outcome's basis vector; the meter is diagonal in
+    the ancilla basis with the POVM's labels. The induced POVM of the result
+    is the input again. The coupling completes V by one QR factorization.
     """
-    d = p.dim
-    n = len(p.outcomes)
-    if d * n > PRODUCT_DIM_GUARD:
-        raise ValueError(f"dilation dimension {d * n} exceeds the guard {PRODUCT_DIM_GUARD}")
-    isometry = np.zeros((d * n, d), dtype=complex)
-    for index, effect in enumerate(p.effects):
-        isometry[index::n, :] = _effect_sqrt(effect)
-    # Column i of the completion goes to slot order[i]: the isometry's columns
-    # to the ancilla-index-0 slots j n, the rest to the other slots in order.
-    slots = np.arange(d * n).reshape(d, n)
-    order = np.concatenate([slots[:, 0], slots[:, 1:].ravel()])
-    completed = complete_isometry_to_unitary(isometry)
-    coupling = np.empty_like(completed)
-    coupling[:, order] = completed
-    return MeasurementProcess(d, State.basis(n, 0), coupling, _pointer_meter(p.labels))
+    d, n = p.dim, len(p.outcomes)
+
+    def isometry() -> np.ndarray:
+        # Row (i, x) is row i of the square root of effect x.
+        return np.stack([_effect_sqrt(e) for e in p.effects], axis=1).reshape(d * n, d)
+
+    return MeasurementProcess._from_isometry(d, p.labels, isometry, _placed_completion)
+
+
+def _placed_completion(v: np.ndarray) -> np.ndarray:
+    """V completed to a unitary by one QR factorization: V's columns go to the
+    ancilla-index-0 slots j k, the new columns to the other slots in order."""
+    k = len(v) // v.shape[1]
+    order = np.argsort(np.arange(len(v)) % k != 0, kind="stable")
+    return complete_isometry_to_unitary(v)[:, np.argsort(order)]

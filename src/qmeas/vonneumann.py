@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PRODUCT_DIM_GUARD, SpectralDecomposition, State
+from .linalg import SpectralDecomposition, State
 from .linalg import complete_isometry_to_unitary, schmidt_decompose
 from .observables import Observable, _born_table, clamp_probability
-from .processes import MeasurementProcess, _isometry, _pointer_meter
+from .processes import MeasurementProcess
 from .tolerances import DEFAULT_TOL
 
 #: Names of the five correlation conditions, in evaluation order.
@@ -60,15 +60,25 @@ def build_vn_process(a: Observable) -> MeasurementProcess:
     The ancilla has one dimension per spectral branch and starts in the first
     basis vector; the coupling is the branch-controlled cyclic shift, and the
     meter is diagonal in the pointer basis with the observable's eigenvalues
-    as labels. The process reproduces the observable's statistics exactly.
+    as labels; its isometry is the projector stack. The process reproduces
+    the observable's statistics exactly.
     """
-    n = len(a.labels)
-    if a.dim * n > PRODUCT_DIM_GUARD:
-        raise ValueError(f"pointer coupling dimension {a.dim * n} exceeds the guard {PRODUCT_DIM_GUARD}")
-    # sum_k P_k x S^k for the cyclic shift S is U[(i, b), (j, c)] = P_{(b-c) mod n}[i, j].
+    d, n = a.dim, len(a.labels)
+
+    def isometry() -> np.ndarray:
+        # V[(i, b), j] = P_b[i, j]: the projector stack, ancilla index inside.
+        return np.array(a.spectral.projectors).transpose(1, 0, 2).reshape(d * n, d)
+
+    return MeasurementProcess._from_isometry(d, a.labels, isometry, _cyclic_shift)
+
+
+def _cyclic_shift(v: np.ndarray) -> np.ndarray:
+    """sum_k P_k x S^k, S the cyclic shift of n pointer slots, from its isometry
+    V[(i, k), j] = P_k[i, j]: U[(i, b), (j, c)] = V[(i, (b-c) mod n), j]."""
+    d = v.shape[1]
+    n = len(v) // d
     shift = np.subtract.outer(np.arange(n), np.arange(n)) % n
-    coupling = np.array(a.spectral.projectors)[shift].transpose(2, 0, 3, 1).reshape(a.dim * n, -1)
-    return MeasurementProcess(a.dim, State.basis(n, 0), coupling, _pointer_meter(a.labels))
+    return v.reshape(d, n, d)[:, shift].transpose(0, 1, 3, 2).reshape(d * n, -1)
 
 
 def entangled_state(psi: State, a: Observable) -> State:
@@ -81,7 +91,7 @@ def entangled_state(psi: State, a: Observable) -> State:
     """
     if psi.dim != a.dim:
         raise ValueError(f"state dimension {psi.dim} does not match observable dimension {a.dim}")
-    return State(_isometry(build_vn_process(a)) @ psi.amplitudes)
+    return State(build_vn_process(a).isometry @ psi.amplitudes)
 
 
 def _joint_matrix(a1: Observable, a2: Observable, phi: State) -> np.ndarray:

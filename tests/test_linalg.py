@@ -10,13 +10,13 @@ from qmeas.linalg import (
     State,
     SpectralDecomposition,
     complete_isometry_to_unitary,
+    _gram_error,
     hermitian_eig,
-    is_unitary,
     random_state,
     schmidt_decompose,
     tensor,
 )
-from qmeas.tolerances import PROJECTOR_TOL
+from qmeas.tolerances import PROJECTOR_TOL, UNITARY_TOL
 
 
 def kron_oracle(a, b):
@@ -365,7 +365,7 @@ def test_complete_isometry_at_dimension_256_keeps_columns_bit_for_bit():
     u = complete_isometry_to_unitary(v)
     assert u.shape == (256, 256)
     assert np.array_equal(u[:, :16], v)
-    assert is_unitary(u)
+    assert _gram_error(u) <= UNITARY_TOL
 
 
 def test_complete_isometry_rejects_non_isometry():

@@ -23,6 +23,7 @@ from qmeas.intersubjectivity import (
 from qmeas.linalg import (
     SpectralDecomposition,
     State,
+    _gram_error,
     complete_isometry_to_unitary,
     random_state,
     tensor,
@@ -38,7 +39,6 @@ from qmeas.observables import (
 from qmeas.processes import (
     MeasurementProcess,
     _effect_sqrt,
-    _isometry,
     check_probability_reproducibility,
     effect_gaps,
     heisenberg_meter,
@@ -46,9 +46,11 @@ from qmeas.processes import (
     naimark_dilation,
     outcome_distribution,
 )
+from qmeas.tolerances import UNITARY_TOL
 from qmeas.vonneumann import (
     build_vn_process,
     check_observable_entanglement,
+    entangled_state,
     find_entangled_observables,
 )
 
@@ -395,24 +397,63 @@ def test_state_tensor_statistics_match_dense_heisenberg_meter(seed, d, k, degene
     assert np.max(np.abs(check_observable_entanglement(a1, a2, chi).joint - lifted)) <= 1e-12
 
 
-def test_statistics_never_build_the_dense_heisenberg_meter(monkeypatch):
-    def refuse(mp):
-        raise AssertionError("dense Heisenberg meter built")
+def test_statistics_and_builders_never_form_the_coupling(monkeypatch):
+    # Both builders hand over V; U, its O(D^3) unitarity product and the dense
+    # Heisenberg meter are left to the references, which read ``coupling``.
+    def refuse(*_):
+        raise AssertionError("dense coupling formed")
 
+    monkeypatch.setattr(MeasurementProcess, "coupling", property(refuse))
     monkeypatch.setattr(qmeas.processes, "heisenberg_meter", refuse)
-    a = Observable.from_matrix(np.diag([1.0, 2.0, 3.0]))
+    rng = np.random.default_rng(16)
+    a16 = random_meter(16, rng, degenerate=False)
+    assert verify_oit(a16, trials=20, seed=16).passes
+    a64 = Observable.from_matrix(np.diag(np.arange(64.0)))
+    assert entangled_state(random_state(64, seed=64), a64).dim == 64 * 64
+    a = random_meter(4, rng, degenerate=True)
     mp = naimark_dilation(Povm.from_observable(a))
     assert induced_povm(mp).labels == a.labels
-    assert outcome_distribution(mp, random_state(3, seed=0)).as_dict().keys() == set(a.labels)
+    assert outcome_distribution(mp, random_state(4, seed=4)).as_dict().keys() == set(a.labels)
     assert effect_gaps(mp, a) is not None
-    assert verify_oit(a, trials=3, seed=0).passes
+    assert compose_joint_scenario(build_vn_process(a), mp).total_dim == 4 * 3 * 3
+    with pytest.raises(AssertionError, match="coupling formed"):
+        mp.coupling
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from(["given", "dilation", "pointer"]),
+)
+def test_isometry_is_the_coupling_at_the_ancilla_state(seed, d, k, kind):
+    # A package-built coupling, formed on read, is exactly the unitary whose
+    # ancilla-state columns are the process's isometry; a given one is read
+    # off by one product.
+    rng = np.random.default_rng(seed)
+    if kind == "dilation":
+        mp = naimark_dilation(Povm(random_povm_outcomes(d, k, rng)))
+    elif kind == "pointer":
+        mp = build_vn_process(random_meter(d, rng, degenerate=k % 2 == 0))
+    else:
+        mp = random_meter_process(d, k, rng, degenerate=seed % 2 == 0)
+    d, k = mp.system_dim, mp.ancilla_dim
+    u = mp.coupling
+    assert u.shape == (d * k, d * k) and not u.flags.writeable and not mp.isometry.flags.writeable
+    assert _gram_error(u) <= UNITARY_TOL
+    at_xi = u.reshape(d * k, d, k) @ mp.ancilla_state.amplitudes
+    if kind == "given":
+        assert np.max(np.abs(mp.isometry - at_xi)) <= 1e-12
+    else:
+        np.testing.assert_array_equal(mp.isometry, at_xi)
 
 
 def reference_induced_effects(mp):
     """Each effect V^H (I x P_x) V from the meter's dense projector stack, as
     the projector-stack contraction computed it."""
     d, k = mp.system_dim, mp.ancilla_dim
-    v = _isometry(mp)
+    v = mp.isometry
     projectors = np.array(mp.meter.spectral.projectors)
     lifted = (projectors[:, None] @ v.reshape(d, k, d)).reshape(-1, d * k, d)
     return [(e + e.conj().T) / 2 for e in v.conj().T @ lifted]
