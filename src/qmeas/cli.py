@@ -443,7 +443,7 @@ def main(argv=None) -> int:
     except NumericalConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(report.to_json() if args.json else report.to_text())

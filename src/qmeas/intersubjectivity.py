@@ -1,16 +1,17 @@
 """Two observers measuring one system: joint scenarios and outcome agreement.
 
 Two measurement processes that share the system but own separate ancillas
-are composed into one scenario through their isometries V = U (I x xi):
-applied one after the other they give the scenario's (D, d) isometry into
-the threefold space, at O(D d^2) cost. The joint outcome law is read from
-the state tensor, that isometry applied to the system state, by rotating
-each ancilla axis into its meter's eigenbasis and summing the squared
+are composed into one scenario, only by ``compose_joint_scenario``, through
+their isometries V = U (I x xi): applied one after the other they give the
+scenario's (D, d) isometry into the threefold space at O(D d^2), so a
+scenario's joint law is the one its processes define. That law is read
+from the state tensor, the isometry applied to the system state, by
+rotating each ancilla axis into its meter's eigenbasis and summing squared
 amplitudes over each pair of branches. The dense D x D composite coupling
-and the evolved meters, each process meter conjugated by it, are built only
-when read, each at O(D^3) cost; they commute by construction: each acts on
-its own ancilla factor before the conjugation. The checks here quantify how much probability the two
-observers assign to unequal outcomes.
+and the evolved meters (each process meter conjugated by it, commuting by
+construction) are built only when read, each at O(D^3). The checks here
+measure how much probability the two observers assign to unequal outcomes;
+a report's pass flag is read from the mass it summarizes.
 
 ``verify_oit`` evaluates its seeded trials in chunks, each chunk as one
 batch of states through the same Born kernel that reads a single joint law;
@@ -32,18 +33,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LocalityError, NumericalConsistencyError
-from .linalg import PRODUCT_DIM_GUARD, State, _gaussian_amplitudes, _gram_error, as_complex_matrix
+from .linalg import PRODUCT_DIM_GUARD, State, _gaussian_amplitudes, _gram_error
 from .observables import (
     Observable,
     Povm,
     _born_table,
+    _check_distribution,
     _labels_agree,
     clamp_probability,
 )
 from .processes import (
     MeasurementProcess,
     _evolved,
-    check_probability_reproducibility,
+    effect_gaps,
     naimark_dilation,
 )
 from .tolerances import COMMUTATOR_TOL, DEFAULT_LABEL_TOL, DEFAULT_TOL, PROBABILITY_SUM_TOL
@@ -55,43 +57,33 @@ from .vonneumann import build_vn_process
 _CHUNK_ENTRIES = 2**14
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class JointScenario:
     """Two processes on separate ancillas composed over one system.
 
-    The composite space is system x first ancilla x second ancilla; process
-    ``first`` couples first. The data is the (D, d) isometry V, the
-    composite coupling applied to system state x both ancilla states, and
-    V^H V = I must hold within UNITARY_TOL (checked at O(D d^2), else
-    ``ValueError``). The joint law is read from V alone (see
-    ``joint_distribution``).
+    Built only by ``compose_joint_scenario``; the class has no constructor of
+    its own. The composite space is system x first ancilla x second ancilla;
+    process ``first`` couples first. The data is the (D, d) isometry V, the
+    two process isometries contracted over the system index they share,
+    with V^H V = I checked within UNITARY_TOL at O(D d^2). The joint law is
+    read from V alone (see ``joint_distribution``).
 
     The read-only dense ``composite_coupling`` (O(D^3) with its unitarity
     check) and the evolved meters (each process meter on its own ancilla
-    factor conjugated by it, O(D^3) each) are built on first
-    read and kept. The coupling must be unitary and reproduce V at the
-    ancilla states within UNITARY_TOL (else ``ValueError``), so a scenario
-    cannot hold a joint law its processes contradict. The meters commute by
-    construction, being lifted to distinct factors and conjugated by one
-    unitary, and are checked to within COMMUTATOR_TOL (else
-    ``LocalityError``).
+    factor conjugated by it, O(D^3) each) are built on first read and kept.
+    The meters commute by construction, being lifted to distinct factors
+    and conjugated by one unitary, and are checked to within COMMUTATOR_TOL
+    (else ``LocalityError``).
     """
 
-    system_dim: int
     process1: MeasurementProcess
     process2: MeasurementProcess
     isometry: np.ndarray
-    first: int = 1
+    first: int
 
-    def __post_init__(self) -> None:
-        if self.first not in (1, 2):
-            raise ValueError("first must be 1 or 2")
-        v = as_complex_matrix(self.isometry, "isometry").copy()
-        if v.shape != (self.total_dim, self.system_dim):
-            raise ValueError("isometry does not match the threefold and system dimensions")
-        _require("scenario isometry has orthonormal columns", _gram_error(v), UNITARY_TOL)
-        v.setflags(write=False)
-        object.__setattr__(self, "isometry", v)
+    @property
+    def system_dim(self) -> int:
+        return self.process1.system_dim
 
     @property
     def total_dim(self) -> int:
@@ -111,9 +103,6 @@ class JointScenario:
             six = np.einsum("iamb,mcje->iacjbe", u1, u2, optimize=True)
         coupling = six.reshape(total, total)
         _require("composite coupling is unitary", _gram_error(coupling), UNITARY_TOL)
-        xi = np.outer(p1.ancilla_state.amplitudes, p2.ancilla_state.amplitudes).reshape(-1)
-        gap = np.abs(coupling.reshape(total, d, -1) @ xi - self.isometry)
-        _require("composite coupling reproduces the isometry", gap, UNITARY_TOL)
         coupling.setflags(write=False)
         return coupling
 
@@ -137,16 +126,13 @@ class JointScenario:
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Joint probabilities over pairs of outcome labels."""
+    """Joint probabilities over pairs of outcome labels, checked as an OutcomeDistribution is."""
 
     entries: tuple[tuple[tuple[float, float], float], ...]
 
     def __post_init__(self) -> None:
         entries = tuple(((float(x), float(y)), float(p)) for (x, y), p in self.entries)
-        if not np.all(np.isfinite([pair for pair, _ in entries])):
-            raise ValueError("outcome labels must be finite")
-        gap = abs(sum(p for _, p in entries) - 1.0)
-        _require("joint probabilities sum to 1", gap, PROBABILITY_SUM_TOL, NumericalConsistencyError)
+        _check_distribution(entries)
         object.__setattr__(self, "entries", entries)
 
     def as_dict(self) -> dict[tuple[float, float], float]:
@@ -163,14 +149,15 @@ class IntersubjectivityReport:
 
     off_diagonal_mass: float
     diagonal: dict[float, float]
-    passes: bool
     tolerance_used: float
 
     def __post_init__(self) -> None:
         gap = abs(self.off_diagonal_mass + sum(self.diagonal.values()) - 1.0)
         _require("report masses sum to 1", gap, PROBABILITY_SUM_TOL, NumericalConsistencyError)
-        if self.passes != (self.off_diagonal_mass <= self.tolerance_used):
-            raise ValueError("pass flag contradicts the off-diagonal mass")
+
+    @property
+    def passes(self) -> bool:
+        return bool(self.off_diagonal_mass <= self.tolerance_used)
 
 
 @dataclass(frozen=True)
@@ -182,21 +169,27 @@ class OitSummary:
     tolerance: float
     max_off_diagonal_mass: float
     max_born_gap: float
-    passes: bool
+
+    @property
+    def passes(self) -> bool:
+        return bool(self.max_off_diagonal_mass <= self.tolerance)
 
 
 def compose_joint_scenario(
     p1: MeasurementProcess, p2: MeasurementProcess, first: int = 1
 ) -> JointScenario:
-    """Compose two processes with a shared system into one scenario.
+    """Compose two processes with a shared system into one scenario, the
+    only way a ``JointScenario`` is built.
 
     Each coupling acts on the system and its own ancilla, with identity on
-    the other observer's ancilla, and the two are applied sequentially; by
-    default the first process couples first (``first`` is 1 or 2). The
-    scenario's isometry is formed by contracting the two process isometries
-    over the system index they share, at O(D d^2) cost; the composite
-    coupling and the evolved meters are left to be built on first read.
+    the other observer's ancilla, and the two are applied sequentially;
+    process ``first`` (1 or 2) couples first. The scenario's isometry is the
+    two process isometries contracted over the system index they share, at
+    O(D d^2) cost, so its joint law is the one its processes define; the
+    composite coupling and the evolved meters are built on first read.
     """
+    if first not in (1, 2):
+        raise ValueError("first must be 1 or 2")
     if p1.system_dim != p2.system_dim:
         raise ValueError("processes disagree on the system dimension")
     d, k1, k2 = p1.system_dim, p1.ancilla_dim, p2.ancilla_dim
@@ -208,10 +201,14 @@ def compose_joint_scenario(
     # Rows are (system, ancilla 1, ancilla 2), the column is the input
     # system index; m is the system index between the two isometries.
     if first == 1:
-        v = np.einsum("icm,maj->iacj", v2, v1, optimize=True)
+        v = np.einsum("icm,maj->iacj", v2, v1, optimize=True).reshape(total, d)
     else:
-        v = np.einsum("iam,mcj->iacj", v1, v2, optimize=True)
-    return JointScenario(d, p1, p2, v.reshape(total, d), first)
+        v = np.einsum("iam,mcj->iacj", v1, v2, optimize=True).reshape(total, d)
+    _require("scenario isometry has orthonormal columns", _gram_error(v), UNITARY_TOL)
+    v.setflags(write=False)
+    scenario = object.__new__(JointScenario)
+    vars(scenario).update(process1=p1, process2=p2, isometry=v, first=first)
+    return scenario
 
 
 def _joint_tables(scenario: JointScenario, psi: np.ndarray) -> np.ndarray:
@@ -281,12 +278,7 @@ def check_intersubjectivity(
     masses = np.where(agree, joint, 0.0).sum(axis=1).tolist()
     labels = scenario.process1.meter.labels
     diagonal = {x: mass for x, mass, hit in zip(labels, masses, agree.any(axis=1)) if hit}
-    return IntersubjectivityReport(
-        off_diagonal_mass=off_mass,
-        diagonal=diagonal,
-        passes=off_mass <= tol,
-        tolerance_used=tol,
-    )
+    return IntersubjectivityReport(off_mass, diagonal, tol)
 
 
 def _check_seed(seed: int) -> None:
@@ -330,10 +322,11 @@ def verify_oit(
     first = build_vn_process(a)
     second = naimark_dilation(Povm.from_observable(a))
     for mp in (first, second):
-        if not check_probability_reproducibility(mp, a):
-            raise NumericalConsistencyError(
-                "constructed process fails to reproduce the observable it was built for"
-            )
+        gaps = effect_gaps(mp, a)
+        if gaps is None:
+            raise NumericalConsistencyError("constructed process misses the observable's labels")
+        check = "constructed process reproduces the observable"
+        _require(check, [gap for _, gap in gaps], DEFAULT_TOL, NumericalConsistencyError)
     scenario = compose_joint_scenario(first, second)
     d, k1, k2 = a.dim, first.ancilla_dim, second.ancilla_dim
     chunk = max(1, _CHUNK_ENTRIES // (d * k1 * k2))
@@ -343,7 +336,6 @@ def verify_oit(
     trial_seeds = np.random.SeedSequence(seed).generate_state(trials)
     max_off = 0.0
     max_gap = 0.0
-    all_pass = True
     for start in range(0, trials, chunk):
         psi = _gaussian_amplitudes(d, trial_seeds[start : start + chunk].tolist())
         psi /= np.linalg.norm(psi, axis=1)[:, None]
@@ -356,14 +348,12 @@ def verify_oit(
         _require("probabilities sum to 1", gap, PROBABILITY_SUM_TOL, NumericalConsistencyError)
         max_off = max(max_off, float(off.max()))
         max_gap = max(max_gap, float(np.abs(diagonal - born).max()))
-        all_pass = all_pass and bool(np.all(off <= tol))
     return OitSummary(
         trials=trials,
         seed=seed,
         tolerance=tol,
         max_off_diagonal_mass=max_off,
         max_born_gap=max_gap,
-        passes=all_pass,
     )
 
 

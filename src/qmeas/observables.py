@@ -34,6 +34,24 @@ def clamp_probability(value):
     return clamped if isinstance(value, np.ndarray) else float(clamped)
 
 
+def _check_distribution(entries) -> None:
+    """Entry check of every distribution of (label, p) pairs, a label being a
+    float or a tuple of floats: at least one entry, finite distinct labels and
+    each p in [0, 1] (else ``ValueError``), then the sum, which a NaN p fails."""
+    if not entries:
+        raise ValueError("distribution needs at least one outcome")
+    labels = [x for x, _ in entries]
+    if not np.all(np.isfinite(labels)):
+        raise ValueError("outcome labels must be finite")
+    if len(set(labels)) != len(labels):
+        raise ValueError("outcome labels must be pairwise distinct")
+    for x, p in entries:
+        if p < 0.0 or p > 1.0:
+            raise ValueError(f"probability {p!r} for outcome {x} is outside [0, 1]")
+    gap = abs(sum(p for _, p in entries) - 1.0)
+    _require("probabilities sum to 1", gap, PROBABILITY_SUM_TOL, NumericalConsistencyError)
+
+
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Discrete probability distribution over real outcome labels."""
@@ -42,18 +60,7 @@ class OutcomeDistribution:
 
     def __post_init__(self) -> None:
         entries = tuple((float(x), float(p)) for x, p in self.entries)
-        if not entries:
-            raise ValueError("distribution needs at least one outcome")
-        labels = [x for x, _ in entries]
-        if not np.all(np.isfinite(labels)):
-            raise ValueError("outcome labels must be finite")
-        if len(set(labels)) != len(labels):
-            raise ValueError("outcome labels must be pairwise distinct")
-        for x, p in entries:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"probability {p!r} for outcome {x} is outside [0, 1]")
-        gap = abs(sum(p for _, p in entries) - 1.0)
-        _require("probabilities sum to 1", gap, PROBABILITY_SUM_TOL, NumericalConsistencyError)
+        _check_distribution(entries)
         object.__setattr__(self, "entries", entries)
 
     @classmethod

@@ -12,8 +12,7 @@ import numpy as np
 MERGE_TOL = 1e-8
 #: Entrywise bound on A - A^H for a matrix to be eigendecomposed.
 HERMITIAN_TOL = 1e-12
-#: Entrywise bound on V^H V - I for a coupling or isometry, and on a composite
-#: coupling's deviation from its scenario's isometry.
+#: Entrywise bound on V^H V - I for a coupling or isometry.
 UNITARY_TOL = 1e-10
 #: Twice the Frobenius bound on B^H B - I for a spectral family's eigenbasis.
 PROJECTOR_TOL = 1e-10

@@ -41,13 +41,17 @@ class EntanglementReport:
     joint: np.ndarray
     pairing: tuple[tuple[int, int], ...]
     condition_results: dict[str, bool]
-    is_entangled: bool
     max_violation: float
 
     def __post_init__(self) -> None:
         joint = np.array(self.joint, dtype=float)
         joint.setflags(write=False)
         object.__setattr__(self, "joint", joint)
+
+    @property
+    def is_entangled(self) -> bool:
+        """All five correlation conditions hold."""
+        return all(self.condition_results.values())
 
     def paired_labels(self) -> tuple[tuple[float, float], ...]:
         return tuple((self.labels1[k], self.labels2[m]) for k, m in self.pairing)
@@ -183,7 +187,6 @@ def check_observable_entanglement(
         joint=joint,
         pairing=pairing,
         condition_results=results,
-        is_entangled=all(results.values()),
         max_violation=float(max(violations)),
     )
 

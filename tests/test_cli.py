@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import PAULI_X, PAULI_Z, random_povm_outcomes
-from qmeas import cli
+from qmeas import cli, intersubjectivity
 from qmeas.errors import NumericalConsistencyError
 from qmeas.linalg import _gram_error
 from qmeas.tolerances import UNITARY_TOL
@@ -186,6 +186,34 @@ def test_internal_consistency_error_exits_3(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, ["verify-oit", "--input", path])
     assert code == 3
     assert "synthetic breakage" in err
+
+
+@pytest.mark.parametrize(
+    "gaps, message",
+    [
+        (((-1.0, 0.0), (1.0, 1e-3)), "observable: residual 0.001 exceeds the bound 1e-09"),
+        (None, "misses the observable's labels"),
+    ],
+    ids=["effect-gap", "labels"],
+)
+def test_failed_oit_precondition_exits_3(tmp_path, capsys, monkeypatch, gaps, message):
+    monkeypatch.setattr(intersubjectivity, "effect_gaps", lambda mp, a: gaps)
+    path = write_payload(tmp_path, "obs.json", {"observable": {"matrix": encode_matrix(PAULI_Z)}})
+    code, out, err = run(capsys, ["verify-oit", "--input", path])
+    assert code == 3
+    assert out == ""
+    assert message in err
+
+
+def test_unallocatable_trial_count_is_invalid_input(tmp_path, capsys):
+    # 2**60 uint32 trial seeds are 4 EiB, beyond any address space, so the
+    # request fails before anything is allocated.
+    payload = {"observable": {"matrix": encode_matrix(PAULI_Z)}, "trials": 2**60}
+    path = write_payload(tmp_path, "obs.json", payload)
+    code, out, err = run(capsys, ["verify-oit", "--input", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_unknown_command_is_a_usage_error(capsys):

@@ -1,5 +1,7 @@
 """Tests for two-observer composition, joint statistics, and agreement checks."""
 
+import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -14,6 +16,7 @@ from qmeas.intersubjectivity import (
     IntersubjectivityReport,
     JointDistribution,
     JointScenario,
+    OitSummary,
     check_intersubjectivity,
     compose_joint_scenario,
     counterexample_uninformative_povm,
@@ -22,7 +25,13 @@ from qmeas.intersubjectivity import (
     verify_oit,
 )
 from qmeas.linalg import State, random_state
-from qmeas.observables import Observable, Povm, born_probabilities, povm_probabilities
+from qmeas.observables import (
+    Observable,
+    OutcomeDistribution,
+    Povm,
+    born_probabilities,
+    povm_probabilities,
+)
 from qmeas.processes import (
     MeasurementProcess,
     induced_povm,
@@ -89,7 +98,7 @@ def test_scenario_meters_are_derived_from_its_processes():
     # A trivial k=1 process with meter [[0]]: the evolved meters, like the
     # joint law, can only carry the label 0.
     p = trivial_ancilla_process()
-    scenario = JointScenario(2, p, p, np.eye(2))
+    scenario = compose_joint_scenario(p, p)
     assert scenario.evolved_meter1.labels == p.meter.labels
     assert scenario.evolved_meter2.labels == p.meter.labels
     assert joint_distribution(scenario, State.basis(2, 1)).as_dict() == {(0.0, 0.0): 1.0}
@@ -156,22 +165,33 @@ def test_statistics_never_read_the_composite_coupling(monkeypatch):
     assert sum(sample_outcomes(scenario, psi, 100, seed=1).values()) == 100
 
 
-def test_scenario_rejects_a_non_isometry():
-    p = trivial_ancilla_process()
-    for bad in (2 * np.eye(2), np.ones((2, 2)), np.eye(4)[:, :2], np.eye(2)[:, :1]):
-        with pytest.raises(ValueError):
-            JointScenario(2, p, p, bad)
-    with pytest.raises(ValueError):
-        JointScenario(2, p, p, np.eye(2), first=3)
+def test_scenario_has_no_constructor_but_compose():
+    # A pointer process and a dilation of diag(0, 1) always agree; an
+    # isometry sending |0> to the outcome pair (0, 1) cannot be handed in.
+    assert "__init__" not in vars(JointScenario)
+    a = Observable.from_matrix(np.diag([0.0, 1.0]))
+    p1, p2 = build_vn_process(a), naimark_dilation(Povm.from_observable(a))
+    disagreeing = np.zeros((8, 2))
+    disagreeing[1, 0] = disagreeing[7, 1] = 1.0
+    for args in [(2, p1, p2, disagreeing), (p1, p2, disagreeing, 1)]:
+        with pytest.raises(TypeError):
+            JointScenario(*args)
+    with pytest.raises(TypeError):
+        JointScenario(process1=p1, process2=p2, isometry=disagreeing, first=1)
+    assert check_intersubjectivity(compose_joint_scenario(p1, p2), State.basis(2, 0)).passes
 
 
-def test_isometry_contradicting_its_processes_is_rejected_on_dense_read():
-    # PAULI_X is an isometry, but the identity couplings of p give V = I.
-    p = trivial_ancilla_process()
-    with pytest.raises(ValueError):
-        JointScenario(2, p, p, PAULI_X).composite_coupling
-    with pytest.raises(ValueError):
-        JointScenario(2, p, p, PAULI_X).evolved_meter1
+@pytest.mark.parametrize("first", [1, 2])
+def test_composed_scenario_survives_a_pickle_round_trip(first):
+    a = Observable.from_matrix(np.diag([1.0, 2.0, 3.0]))
+    scenario = compose_joint_scenario(
+        build_vn_process(a), naimark_dilation(Povm.from_observable(a)), first=first
+    )
+    copy = pickle.loads(pickle.dumps(scenario))
+    assert copy.first == first
+    assert np.array_equal(copy.isometry, scenario.isometry)
+    psi = random_state(3, seed=4)
+    assert joint_distribution(copy, psi) == joint_distribution(scenario, psi)
 
 
 def test_oit_at_the_guard_peak_memory():
@@ -311,16 +331,18 @@ def test_agreement_report_flags_disagreement():
 
 def test_report_rejects_leaking_mass():
     with pytest.raises(NumericalConsistencyError):
-        IntersubjectivityReport(
-            off_diagonal_mass=0.3, diagonal={1.0: 0.2}, passes=False, tolerance_used=1e-9
-        )
+        IntersubjectivityReport(off_diagonal_mass=0.3, diagonal={1.0: 0.2}, tolerance_used=1e-9)
 
 
-def test_report_rejects_contradictory_pass_flag():
-    with pytest.raises(ValueError):
-        IntersubjectivityReport(
-            off_diagonal_mass=0.5, diagonal={1.0: 0.5}, passes=True, tolerance_used=1e-9
-        )
+def test_pass_flags_are_read_from_the_masses_as_python_bools():
+    tol = np.float64(1e-9)
+    assert IntersubjectivityReport(0.5, {1.0: 0.5}, tol).passes is False
+    assert IntersubjectivityReport(0.0, {1.0: 1.0}, tol).passes is True
+    z = Observable.from_matrix(PAULI_Z)
+    assert verify_oit(z, trials=3, seed=1, tol=tol).passes is True
+    assert verify_oit(z, trials=3, seed=1, tol=np.float64(-1.0)).passes is False
+    for cls in (IntersubjectivityReport, OitSummary):
+        assert "passes" not in {field.name for field in dataclasses.fields(cls)}
 
 
 # Labels 0.0 and 1.0 sit exactly label_tol = 1.0 apart, and the boundary
@@ -541,6 +563,22 @@ def test_joint_distribution_rejects_non_finite_labels(bad, slot):
     pair[slot] = bad
     with pytest.raises(ValueError, match="finite"):
         JointDistribution((((1.0, 1.0), 0.5), (tuple(pair), 0.5)))
+
+
+@pytest.mark.parametrize(
+    "entries, error, message",
+    [
+        ((((0.0, 0.0), 1.5), ((1.0, 1.0), -0.5)), ValueError, r"outside \[0, 1\]"),
+        ((((0.0, 0.0), 0.5), ((0.0, 0.0), 0.5)), ValueError, "pairwise distinct"),
+        ((((0.0, 0.0), 0.5), ((1.0, 1.0), 0.4)), NumericalConsistencyError, "sum to 1"),
+    ],
+    ids=["outside-unit-interval", "repeated-pair", "short-sum"],
+)
+def test_joint_distribution_has_the_entry_checks_of_a_single_one(entries, error, message):
+    with pytest.raises(error, match=message):
+        JointDistribution(entries)
+    with pytest.raises(error, match=message):
+        OutcomeDistribution(tuple((x, p) for (x, _), p in entries))
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,17 @@ def test_every_bound_is_documented_and_read_elsewhere():
 
 
 #: Predicates that compare a residual with a bound inside their own body.
-PREDICATES = {"is_hermitian", "is_unitary", "_is_isometry"}
+PREDICATES = {"is_projective", "is_resolution_of_identity", "check_probability_reproducibility"}
+
+
+def test_every_predicate_the_guard_names_is_defined():
+    defined = {
+        node.name
+        for name in other_modules()
+        for node in ast.walk(parse(name))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert sorted(PREDICATES - defined) == []
 
 
 def hand_checks(tree, bounds):
@@ -152,7 +162,7 @@ def test_a_failed_check_names_its_residual_and_bound(build, error, check, residu
     [
         lambda: clamp_probability(float("nan")),
         lambda: JointDistribution((((0.0, 0.0), float("nan")), ((1.0, 1.0), 1.0))),
-        lambda: IntersubjectivityReport(float("nan"), {0.0: 1.0}, False, 1e-9),
+        lambda: IntersubjectivityReport(float("nan"), {0.0: 1.0}, 1e-9),
     ],
     ids=["clamp", "joint-distribution", "report"],
 )

@@ -1,5 +1,6 @@
 """Tests for the pointer-coupling construction and correlation conditions."""
 
+import dataclasses
 import tracemalloc
 from itertools import permutations
 
@@ -14,6 +15,7 @@ from qmeas.observables import Observable, born_probabilities
 from qmeas.processes import check_probability_reproducibility, induced_povm, outcome_distribution
 from qmeas.vonneumann import (
     CONDITION_NAMES,
+    EntanglementReport,
     _best_pairing,
     build_vn_process,
     check_observable_entanglement,
@@ -167,6 +169,15 @@ def test_bell_state_perfectly_correlates_matching_spins():
     assert report.is_entangled
     assert report.max_violation <= 1e-12
     assert set(report.condition_results) == set(CONDITION_NAMES)
+
+
+def test_entanglement_flag_is_read_from_the_conditions_as_a_python_bool():
+    z = Observable.from_matrix(PAULI_Z)
+    bell = State(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2))
+    product = State.basis(2, 0).tensor(State.normalized([1.0, 1.0]))
+    assert check_observable_entanglement(z, z, bell, np.float64(1e-9)).is_entangled is True
+    assert check_observable_entanglement(z, z, product, np.float64(1e-9)).is_entangled is False
+    assert "is_entangled" not in {field.name for field in dataclasses.fields(EntanglementReport)}
 
 
 def test_product_state_fails_all_pairings():
