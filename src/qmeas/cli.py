@@ -117,7 +117,7 @@ def _fail(path: str, message: str) -> None:
     raise ValueError(f"{path}: {message}")
 
 
-def _require(payload: dict, key: str):
+def _required_key(payload: dict, key: str):
     if key not in payload:
         _fail(key, "missing required key")
     return payload[key]
@@ -213,9 +213,9 @@ def _decode_process(obj, path: str) -> MeasurementProcess:
         _fail(f"{path}.system_dim", "must be a positive integer")
     return MeasurementProcess(
         system_dim=system_dim,
-        ancilla_state=_decode_state(_require(obj, "ancilla_state"), f"{path}.ancilla_state"),
-        coupling=_decode_matrix(_require(obj, "coupling"), f"{path}.coupling"),
-        meter=Observable.from_matrix(_decode_matrix(_require(obj, "meter"), f"{path}.meter")),
+        ancilla_state=_decode_state(_required_key(obj, "ancilla_state"), f"{path}.ancilla_state"),
+        coupling=_decode_matrix(_required_key(obj, "coupling"), f"{path}.coupling"),
+        meter=Observable.from_matrix(_decode_matrix(_required_key(obj, "meter"), f"{path}.meter")),
     )
 
 
@@ -268,7 +268,7 @@ def _setting(args, payload: dict, name: str, default, kind):
 
 
 def _cmd_verify_oit(payload: dict, args) -> RunReport:
-    a = _decode_observable(_require(payload, "observable"), "observable")
+    a = _decode_observable(_required_key(payload, "observable"), "observable")
     trials = _setting(args, payload, "trials", DEFAULT_TRIALS, int)
     seed = _setting(args, payload, "seed", DEFAULT_SEED, int)
     tol = _setting(args, payload, "tol", DEFAULT_TOL, float)
@@ -286,8 +286,8 @@ def _cmd_verify_oit(payload: dict, args) -> RunReport:
 
 
 def _cmd_reproducibility(payload: dict, args) -> RunReport:
-    mp = _decode_process(_require(payload, "process"), "process")
-    a = _decode_observable(_require(payload, "observable"), "observable")
+    mp = _decode_process(_required_key(payload, "process"), "process")
+    a = _decode_observable(_required_key(payload, "observable"), "observable")
     tol = _setting(args, payload, "tol", DEFAULT_TOL, float)
     label_tol = _setting(args, payload, "label_tol", DEFAULT_LABEL_TOL, float)
     gaps = effect_gaps(mp, a, label_tol)
@@ -300,14 +300,14 @@ def _cmd_reproducibility(payload: dict, args) -> RunReport:
 
 
 def _cmd_induced_povm(payload: dict, args) -> RunReport:
-    mp = _decode_process(_require(payload, "process"), "process")
+    mp = _decode_process(_required_key(payload, "process"), "process")
     p = induced_povm(mp)
     metrics = {"outcomes": len(p.outcomes), "system_dim": mp.system_dim}
     return RunReport("induced-povm", True, metrics, {"povm": _encode_povm(p)})
 
 
 def _cmd_dilate(payload: dict, args) -> RunReport:
-    p = _decode_povm(_require(payload, "povm"), "povm")
+    p = _decode_povm(_required_key(payload, "povm"), "povm")
     tol = _setting(args, payload, "tol", DEFAULT_TOL, float)
     mp = naimark_dilation(p)
     # The dilation's meter carries p's labels exactly, so they always pair.
@@ -326,8 +326,8 @@ def _entanglement_report(command: str, a1, a2, phi, tol: float, **details) -> Ru
 
 
 def _cmd_entangle(payload: dict, args) -> RunReport:
-    psi = _decode_state(_require(payload, "state"), "state")
-    a = _decode_observable(_require(payload, "observable"), "observable")
+    psi = _decode_state(_required_key(payload, "state"), "state")
+    a = _decode_observable(_required_key(payload, "observable"), "observable")
     tol = _setting(args, payload, "tol", DEFAULT_TOL, float)
     phi = entangled_state(psi, a)
     # The meter of the pointer process entangled_state has just applied.
@@ -336,9 +336,9 @@ def _cmd_entangle(payload: dict, args) -> RunReport:
 
 
 def _cmd_check_entanglement(payload: dict, args) -> RunReport:
-    a1 = _decode_observable(_require(payload, "observable1"), "observable1")
-    a2 = _decode_observable(_require(payload, "observable2"), "observable2")
-    phi = _decode_state(_require(payload, "state"), "state")
+    a1 = _decode_observable(_required_key(payload, "observable1"), "observable1")
+    a2 = _decode_observable(_required_key(payload, "observable2"), "observable2")
+    phi = _decode_state(_required_key(payload, "state"), "state")
     tol = _setting(args, payload, "tol", DEFAULT_TOL, float)
     return _entanglement_report("check-entanglement", a1, a2, phi, tol)
 
@@ -361,9 +361,9 @@ def _cmd_counterexample(payload: dict, args) -> RunReport:
 
 
 def _cmd_sample(payload: dict, args) -> RunReport:
-    p1 = _decode_process(_require(payload, "process1"), "process1")
-    p2 = _decode_process(_require(payload, "process2"), "process2")
-    psi = _decode_state(_require(payload, "state"), "state")
+    p1 = _decode_process(_required_key(payload, "process1"), "process1")
+    p2 = _decode_process(_required_key(payload, "process2"), "process2")
+    psi = _decode_state(_required_key(payload, "state"), "state")
     seed = _setting(args, payload, "seed", DEFAULT_SEED, int)
     if args.trials is not None:
         n = args.trials

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LocalityError, NumericalConsistencyError
-from .linalg import PRODUCT_DIM_GUARD, State, _gaussian_amplitudes, _gram_error
+from .linalg import PRODUCT_DIM_GUARD, State, _gaussian_amplitudes, _gram_error, _restore_read_only
 from .observables import (
     Observable,
     Povm,
@@ -80,6 +80,8 @@ class JointScenario:
     process2: MeasurementProcess
     isometry: np.ndarray
     first: int
+
+    __setstate__ = _restore_read_only
 
     @property
     def system_dim(self) -> int:

@@ -39,6 +39,22 @@ def _gram_error(m: np.ndarray) -> float:
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))))
 
 
+def _read_only(value) -> None:
+    """Set every ndarray in value, walking into tuples, read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+
+
+def _restore_read_only(self, state: dict) -> None:
+    """``__setstate__`` of every class that holds arrays: numpy does not pickle
+    the writeable flag, so each array of the state is set read-only again."""
+    _read_only(tuple(state.values()))
+    vars(self).update(state)
+
+
 def tensor(a, b) -> np.ndarray:
     """Kronecker product of two vectors or two matrices.
 
@@ -63,6 +79,8 @@ class State:
     """Unit vector in a finite-dimensional complex Hilbert space."""
 
     amplitudes: np.ndarray
+
+    __setstate__ = _restore_read_only
 
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=complex)
@@ -127,6 +145,8 @@ class SpectralDecomposition:
     blocks: tuple[tuple[float, np.ndarray], ...]
     basis: np.ndarray = field(init=False, repr=False)
     offsets: tuple[int, ...] = field(init=False, repr=False)
+
+    __setstate__ = _restore_read_only
 
     def __post_init__(self) -> None:
         if not self.blocks:

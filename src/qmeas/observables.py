@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from .errors import NumericalConsistencyError
-from .linalg import SpectralDecomposition, State, as_complex_matrix, hermitian_eig
+from .linalg import SpectralDecomposition, State, _restore_read_only, as_complex_matrix
+from .linalg import hermitian_eig
 from .tolerances import DEFAULT_LABEL_TOL, EFFECT_TOL, PROBABILITY_CLAMP_TOL, PROBABILITY_SUM_TOL
 from .tolerances import _require
 
@@ -34,17 +35,21 @@ def clamp_probability(value):
     return clamped if isinstance(value, np.ndarray) else float(clamped)
 
 
+def _check_labels(labels, prefix: str = "") -> None:
+    """``ValueError`` after ``prefix`` unless the labels are finite and pairwise distinct."""
+    if not np.all(np.isfinite(labels)):
+        raise ValueError(f"{prefix}outcome labels must be finite")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"{prefix}outcome labels must be pairwise distinct")
+
+
 def _check_distribution(entries) -> None:
     """Entry check of every distribution of (label, p) pairs, a label being a
     float or a tuple of floats: at least one entry, finite distinct labels and
     each p in [0, 1] (else ``ValueError``), then the sum, which a NaN p fails."""
     if not entries:
         raise ValueError("distribution needs at least one outcome")
-    labels = [x for x, _ in entries]
-    if not np.all(np.isfinite(labels)):
-        raise ValueError("outcome labels must be finite")
-    if len(set(labels)) != len(labels):
-        raise ValueError("outcome labels must be pairwise distinct")
+    _check_labels([x for x, _ in entries])
     for x, p in entries:
         if p < 0.0 or p > 1.0:
             raise ValueError(f"probability {p!r} for outcome {x} is outside [0, 1]")
@@ -90,6 +95,8 @@ class Observable:
     matrix: np.ndarray
     spectral: SpectralDecomposition
 
+    __setstate__ = _restore_read_only
+
     def __post_init__(self) -> None:
         m = as_complex_matrix(self.matrix, "observable matrix").copy()
         if m.shape[0] != self.spectral.dim:
@@ -125,65 +132,56 @@ class Observable:
         return self.spectral.eigenvalues
 
 
-def _effects_of(p) -> list[np.ndarray]:
+def _effect_stack(p) -> np.ndarray:
+    """The (n, d, d) complex stack of a Povm's effects, or of a plain sequence
+    of matrices, which must be nonempty, square and of one dimension."""
     if isinstance(p, Povm):
-        return list(p.effects)
-    return [as_complex_matrix(e, f"effect {i}") for i, e in enumerate(p)]
-
-
-def effect_family_violation(effects: Sequence[np.ndarray]) -> str | None:
-    """Describe how a family of effects fails to resolve the identity, or None.
-
-    Dimension problems raise; everything else (non-Hermitian entries, spectra
-    escaping [0, 1], a sum away from the identity, each beyond EFFECT_TOL)
-    comes back as a message so callers can decide between returning False
-    and raising.
-    """
+        return p.effects
+    effects = [as_complex_matrix(e, f"effect {i}") for i, e in enumerate(p)]
     if not effects:
         raise ValueError("at least one effect is required")
-    dim = effects[0].shape[0]
     for i, effect in enumerate(effects):
         if effect.shape[0] != effect.shape[1]:
             raise ValueError(f"effect {i} is not square")
-        if effect.shape[0] != dim:
+        if effect.shape != effects[0].shape:
             raise ValueError("effects do not share one dimension")
-    for i, effect in enumerate(effects):
-        if np.max(np.abs(effect - effect.conj().T)) > EFFECT_TOL:
-            return f"effect {i} is not Hermitian"
-        spectrum = np.linalg.eigvalsh((effect + effect.conj().T) / 2)
-        if spectrum[0] < -EFFECT_TOL or spectrum[-1] > 1.0 + EFFECT_TOL:
-            return (
-                f"effect {i} has spectrum outside [0, 1]: "
-                f"[{spectrum[0]:.6g}, {spectrum[-1]:.6g}]"
-            )
-    total = sum(effects)
-    if np.max(np.abs(total - np.eye(dim))) > EFFECT_TOL:
-        return "effects do not sum to the identity"
-    return None
+    return np.array(effects)
+
+
+def _effect_residuals(effects: np.ndarray) -> dict[str, float]:
+    """The residuals, by condition, that EFFECT_TOL bounds for an effect stack:
+    the largest entry of E_x - E_x^H, of a spectrum's distance from [0, 1]
+    (one batched ``eigvalsh``) and of sum_x E_x - I."""
+    adjoint = effects.conj().transpose(0, 2, 1)
+    spectra = np.linalg.eigvalsh((effects + adjoint) / 2)
+    total = effects.sum(axis=0) - np.eye(effects.shape[1])
+    return {
+        "effects are Hermitian": np.max(np.abs(effects - adjoint)),
+        "effect spectrum in [0, 1]": np.max(np.maximum(-spectra[:, 0], spectra[:, -1] - 1.0)),
+        "effects sum to the identity": np.max(np.abs(total)),
+    }
 
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Family of effects with finite, distinct labels forming a resolution
-    of the identity."""
+    """Family of effects with finite, distinct labels forming a resolution of
+    the identity, held as one read-only (n, d, d) stack ``effects`` whose rows
+    are the effects in ``outcomes``."""
 
     outcomes: tuple[tuple[float, np.ndarray], ...]
+    effects: np.ndarray = field(init=False, repr=False)
+
+    __setstate__ = _restore_read_only
 
     def __post_init__(self) -> None:
-        cleaned = []
-        for label, effect in self.outcomes:
-            e = as_complex_matrix(effect, "effect").copy()
-            e.setflags(write=False)
-            cleaned.append((float(label), e))
-        labels = [x for x, _ in cleaned]
-        if not np.all(np.isfinite(labels)):
-            raise ValueError("invalid POVM: outcome labels must be finite")
-        if len(set(labels)) != len(labels):
-            raise ValueError("invalid POVM: outcome labels are not pairwise distinct")
-        violation = effect_family_violation([e for _, e in cleaned])
-        if violation is not None:
-            raise ValueError(f"invalid POVM: {violation}")
-        object.__setattr__(self, "outcomes", tuple(cleaned))
+        labels = [float(x) for x, _ in self.outcomes]
+        effects = _effect_stack([e for _, e in self.outcomes])
+        _check_labels(labels, "invalid POVM: ")
+        for check, residual in _effect_residuals(effects).items():
+            _require(f"invalid POVM: {check}", residual, EFFECT_TOL)
+        effects.setflags(write=False)
+        object.__setattr__(self, "outcomes", tuple(zip(labels, effects)))
+        object.__setattr__(self, "effects", effects)
 
     @classmethod
     def from_observable(cls, a: Observable) -> "Povm":
@@ -192,15 +190,11 @@ class Povm:
 
     @property
     def dim(self) -> int:
-        return int(self.outcomes[0][1].shape[0])
+        return self.effects.shape[1]
 
     @property
     def labels(self) -> tuple[float, ...]:
         return tuple(x for x, _ in self.outcomes)
-
-    @property
-    def effects(self) -> tuple[np.ndarray, ...]:
-        return tuple(e for _, e in self.outcomes)
 
 
 #: One branch on a 1-dimensional axis: the second family of a single law.
@@ -243,7 +237,7 @@ def povm_probabilities(p: Povm, psi: State) -> OutcomeDistribution:
     if p.dim != psi.dim:
         raise ValueError(f"POVM dimension {p.dim} does not match state dimension {psi.dim}")
     vec = psi.amplitudes
-    values = np.einsum("i,xij,j->x", vec.conj(), np.array(p.effects), vec)
+    values = np.einsum("i,xij,j->x", vec.conj(), p.effects, vec)
     return OutcomeDistribution.from_values(p.labels, values.real)
 
 
@@ -251,16 +245,15 @@ def is_resolution_of_identity(p) -> bool:
     """Whether the effects are valid (Hermitian, spectrum in [0, 1] within
     EFFECT_TOL) and sum to the identity within EFFECT_TOL. Accepts a Povm or
     a plain sequence of matrices."""
-    return effect_family_violation(_effects_of(p)) is None
+    return all(r <= EFFECT_TOL for r in _effect_residuals(_effect_stack(p)).values())
 
 
 def is_projective(p) -> bool:
     """Whether every effect is idempotent and the effects are mutually
     orthogonal, both within EFFECT_TOL."""
-    effects = _effects_of(p)
-    for effect in effects:
-        if np.max(np.abs(effect @ effect - effect)) > EFFECT_TOL:
-            return False
+    effects = _effect_stack(p)
+    if np.max(np.abs(effects @ effects - effects)) > EFFECT_TOL:
+        return False
     for i, left in enumerate(effects):
         for right in effects[i + 1 :]:
             if np.max(np.abs(left @ right)) > EFFECT_TOL:

@@ -23,6 +23,7 @@ from .linalg import (
     SpectralDecomposition,
     State,
     _gram_error,
+    _restore_read_only,
     as_complex_matrix,
     complete_isometry_to_unitary,
 )
@@ -44,6 +45,8 @@ class MeasurementProcess:
     ancilla_state: State
     isometry: np.ndarray
     meter: Observable
+
+    __setstate__ = _restore_read_only
 
     def __init__(self, system_dim: int, ancilla_state: State, coupling, meter: Observable) -> None:
         if system_dim < 1:
@@ -202,13 +205,14 @@ def _pointer_meter(labels) -> Observable:
     return Observable.from_spectral(SpectralDecomposition(blocks))
 
 
-def _effect_sqrt(effect: np.ndarray) -> np.ndarray:
-    """Principal square root of a positive semidefinite matrix.
+def _effect_sqrt(effects: np.ndarray) -> np.ndarray:
+    """Principal square root of a positive semidefinite matrix, or of each in a stack.
 
     Eigenvalues that rounding pushed slightly negative are clamped to zero.
     """
-    values, vectors = np.linalg.eigh(effect)
-    return (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
+    values, vectors = np.linalg.eigh(effects)
+    roots = np.sqrt(np.clip(values, 0.0, None))[..., None, :]
+    return (vectors * roots) @ vectors.conj().swapaxes(-1, -2)
 
 
 def naimark_dilation(p: Povm) -> MeasurementProcess:
@@ -224,7 +228,7 @@ def naimark_dilation(p: Povm) -> MeasurementProcess:
 
     def isometry() -> np.ndarray:
         # Row (i, x) is row i of the square root of effect x.
-        return np.stack([_effect_sqrt(e) for e in p.effects], axis=1).reshape(d * n, d)
+        return _effect_sqrt(p.effects).transpose(1, 0, 2).reshape(d * n, d)
 
     return MeasurementProcess._from_isometry(d, p.labels, isometry, _placed_completion)
 

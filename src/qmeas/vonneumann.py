@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpectralDecomposition, State
+from .linalg import SpectralDecomposition, State, _restore_read_only
 from .linalg import complete_isometry_to_unitary, schmidt_decompose
 from .observables import Observable, _born_table, clamp_probability
 from .processes import MeasurementProcess
@@ -42,6 +42,8 @@ class EntanglementReport:
     pairing: tuple[tuple[int, int], ...]
     condition_results: dict[str, bool]
     max_violation: float
+
+    __setstate__ = _restore_read_only
 
     def __post_init__(self) -> None:
         joint = np.array(self.joint, dtype=float)

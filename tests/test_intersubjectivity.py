@@ -9,7 +9,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PAULI_X, PAULI_Z, random_hermitian, random_meter_process, random_unitary
+from conftest import (
+    PAULI_X,
+    PAULI_Z,
+    random_hermitian,
+    random_meter_process,
+    random_povm_outcomes,
+    random_unitary,
+)
 from qmeas import intersubjectivity
 from qmeas.errors import LocalityError, NumericalConsistencyError
 from qmeas.intersubjectivity import (
@@ -38,7 +45,7 @@ from qmeas.processes import (
     naimark_dilation,
     outcome_distribution,
 )
-from qmeas.vonneumann import build_vn_process
+from qmeas.vonneumann import build_vn_process, check_observable_entanglement, entangled_state
 
 
 def two_pointer_scenario(matrix, first: int = 1):
@@ -190,8 +197,66 @@ def test_composed_scenario_survives_a_pickle_round_trip(first):
     copy = pickle.loads(pickle.dumps(scenario))
     assert copy.first == first
     assert np.array_equal(copy.isometry, scenario.isometry)
+    assert not copy.isometry.flags.writeable
     psi = random_state(3, seed=4)
     assert joint_distribution(copy, psi) == joint_distribution(scenario, psi)
+
+
+def writeable_arrays(value, path):
+    """Path of every writeable ndarray reachable from value through tuples,
+    dicts and the attributes of the package's objects."""
+    if isinstance(value, np.ndarray):
+        return [path] if value.flags.writeable else []
+    if isinstance(value, tuple):
+        items = enumerate(value)
+    elif isinstance(value, dict):
+        items = value.items()
+    elif type(value).__module__.startswith("qmeas."):
+        items = vars(value).items()
+    else:
+        return []
+    return [p for key, item in items for p in writeable_arrays(item, f"{path}.{key}")]
+
+
+def built_objects():
+    a = Observable.from_matrix(np.diag([1.0, 2.0, 2.0]))
+    coupling = random_unitary(6, np.random.default_rng(4))
+    given = MeasurementProcess(3, State.basis(2, 0), coupling, Observable.from_matrix(np.eye(2)))
+    built = build_vn_process(a)
+    scenario = compose_joint_scenario(built, naimark_dilation(Povm.from_observable(a)))
+    phi = entangled_state(random_state(3, seed=1), a)
+    report = check_observable_entanglement(a, built.meter, phi)
+    # Read every cached property first, so its array is pickled too.
+    a.spectral.branches, built.coupling, scenario.evolved_meter1, scenario.evolved_meter2
+    return {
+        "state": random_state(3, seed=2),
+        "observable": a,
+        "povm": Povm(random_povm_outcomes(3, 4, np.random.default_rng(3))),
+        "given-coupling-process": given,
+        "built-process": built,
+        "scenario": scenario,
+        "entanglement-report": report,
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "state",
+        "observable",
+        "povm",
+        "given-coupling-process",
+        "built-process",
+        "scenario",
+        "entanglement-report",
+    ],
+)
+def test_every_array_stays_read_only_through_a_pickle_round_trip(name):
+    value = built_objects()[name]
+    assert writeable_arrays(value, name) == []
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is type(value)
+    assert writeable_arrays(copy, name) == []
 
 
 def test_oit_at_the_guard_peak_memory():

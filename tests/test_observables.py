@@ -265,6 +265,18 @@ def test_povm_rejects_effect_spectrum_outside_unit_interval():
         Povm(((0.0, np.eye(2) / 2 + bump), (1.0, np.eye(2) / 2 - bump)))
 
 
+def test_povm_effects_are_read_only_views_of_one_stack():
+    p = Povm(random_povm_outcomes(3, 4, np.random.default_rng(5)))
+    assert p.effects.shape == (4, 3, 3)
+    assert not p.effects.flags.writeable
+    for k, (_, effect) in enumerate(p.outcomes):
+        assert effect.base is p.effects
+        assert np.shares_memory(effect, p.effects[k])
+        assert not effect.flags.writeable
+        with pytest.raises(ValueError):
+            effect[0, 0] = 0.0
+
+
 def test_random_povm_fixture_is_valid():
     rng = np.random.default_rng(31)
     outcomes = random_povm_outcomes(3, 4, rng)

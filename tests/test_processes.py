@@ -342,6 +342,20 @@ def test_dilation_places_completion_columns_as_before(dim, n):
     np.testing.assert_array_equal(naimark_dilation(p).coupling, expected)
 
 
+def per_effect_sqrt(effect):
+    """Reference principal square root of one effect by its own eigh."""
+    values, vectors = np.linalg.eigh(effect)
+    return (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
+
+
+@pytest.mark.parametrize("dim, n", [(1, 1), (2, 3), (3, 2), (5, 7), (8, 8), (16, 16)])
+def test_dilation_isometry_matches_the_per_effect_reference_exactly(dim, n):
+    p = Povm(random_povm_outcomes(dim, n, np.random.default_rng(7 * dim + n)))
+    # Row (i, x) is row i of the square root of effect x.
+    want = np.stack([per_effect_sqrt(e) for e in p.effects], axis=1).reshape(dim * n, dim)
+    assert np.array_equal(naimark_dilation(p).isometry, want)
+
+
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
