@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LocalityError, NumericalConsistencyError
-from .linalg import PRODUCT_DIM_GUARD, State, _gaussian_amplitudes, _gram_error, _restore_read_only
+from .linalg import PRODUCT_DIM_GUARD, State, _gaussian_amplitudes, _gram_error
 from .observables import (
     Observable,
     Povm,
@@ -81,7 +81,8 @@ class JointScenario:
     isometry: np.ndarray
     first: int
 
-    __setstate__ = _restore_read_only
+    def __reduce__(self):
+        return compose_joint_scenario, (self.process1, self.process2, self.first)
 
     @property
     def system_dim(self) -> int:

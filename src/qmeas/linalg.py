@@ -6,13 +6,14 @@ of isometries to full unitaries, and seeded random state generation.
 
 Everything here is a pure function of its inputs (plus explicit seeds), and
 every returned object is immutable, so values can be shared freely across
-threads.
+threads. An object comes into being only through its constructor: a pickle
+or a deep copy rebuilds it from its init fields (``_reduce``).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,20 +40,10 @@ def _gram_error(m: np.ndarray) -> float:
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))))
 
 
-def _read_only(value) -> None:
-    """Set every ndarray in value, walking into tuples, read-only."""
-    if isinstance(value, np.ndarray):
-        value.setflags(write=False)
-    elif isinstance(value, tuple):
-        for item in value:
-            _read_only(item)
-
-
-def _restore_read_only(self, state: dict) -> None:
-    """``__setstate__`` of every class that holds arrays: numpy does not pickle
-    the writeable flag, so each array of the state is set read-only again."""
-    _read_only(tuple(state.values()))
-    vars(self).update(state)
+def _reduce(self):
+    """``__reduce__`` that rebuilds a dataclass by its constructor from its
+    init fields, so a pickle or a deep copy passes its checks again."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 def tensor(a, b) -> np.ndarray:
@@ -80,7 +71,7 @@ class State:
 
     amplitudes: np.ndarray
 
-    __setstate__ = _restore_read_only
+    __reduce__ = _reduce
 
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=complex)
@@ -146,7 +137,7 @@ class SpectralDecomposition:
     basis: np.ndarray = field(init=False, repr=False)
     offsets: tuple[int, ...] = field(init=False, repr=False)
 
-    __setstate__ = _restore_read_only
+    __reduce__ = _reduce
 
     def __post_init__(self) -> None:
         if not self.blocks:

@@ -1,14 +1,20 @@
-"""Sharp and generalized observables with Born-rule statistics."""
+"""Sharp and generalized observables with Born-rule statistics.
+
+An observable is its spectral family: its matrix is formed from the family
+when read, and ``Observable.from_matrix`` checks that the family it finds
+gives the matrix back. A POVM is its effect stack.
+"""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
 from .errors import NumericalConsistencyError
-from .linalg import SpectralDecomposition, State, _restore_read_only, as_complex_matrix
+from .linalg import SpectralDecomposition, State, _reduce, as_complex_matrix
 from .linalg import hermitian_eig
 from .tolerances import DEFAULT_LABEL_TOL, EFFECT_TOL, PROBABILITY_CLAMP_TOL, PROBABILITY_SUM_TOL
 from .tolerances import _require
@@ -90,38 +96,26 @@ def _spectral_matrix(spectral: SpectralDecomposition) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """Hermitian operator together with its discrete spectral family."""
+    """Hermitian operator held as its discrete spectral family."""
 
-    matrix: np.ndarray
     spectral: SpectralDecomposition
 
-    __setstate__ = _restore_read_only
+    __reduce__ = _reduce
 
-    def __post_init__(self) -> None:
-        m = as_complex_matrix(self.matrix, "observable matrix").copy()
-        if m.shape[0] != self.spectral.dim:
-            raise ValueError("matrix and spectral family have different dimensions")
-        gap = np.linalg.norm(m - _spectral_matrix(self.spectral))
-        _require("matrix matches its spectral family", gap, EFFECT_TOL)
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The read-only matrix sum_x x B_x B_x^H, formed on first read."""
+        m = _spectral_matrix(self.spectral)
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        return m
 
     @classmethod
     def from_matrix(cls, matrix) -> "Observable":
         """Build an observable from a Hermitian matrix, merging near-degenerate eigenvalues."""
         m = as_complex_matrix(matrix, "observable matrix")
-        return cls(m, hermitian_eig(m))
-
-    @classmethod
-    def from_spectral(cls, spectral: SpectralDecomposition) -> "Observable":
-        """The observable sum_x x B_x B_x^H. Its matrix is formed from the
-        family, so it is not compared with the family again."""
-        m = as_complex_matrix(_spectral_matrix(spectral), "observable matrix")
-        m.setflags(write=False)
-        observable = object.__new__(cls)
-        object.__setattr__(observable, "matrix", m)
-        object.__setattr__(observable, "spectral", spectral)
-        return observable
+        a = cls(hermitian_eig(m))
+        _require("matrix matches its spectral family", np.linalg.norm(m - a.matrix), EFFECT_TOL)
+        return a
 
     @property
     def dim(self) -> int:
@@ -171,7 +165,7 @@ class Povm:
     outcomes: tuple[tuple[float, np.ndarray], ...]
     effects: np.ndarray = field(init=False, repr=False)
 
-    __setstate__ = _restore_read_only
+    __reduce__ = _reduce
 
     def __post_init__(self) -> None:
         labels = [float(x) for x, _ in self.outcomes]

@@ -23,7 +23,6 @@ from .linalg import (
     SpectralDecomposition,
     State,
     _gram_error,
-    _restore_read_only,
     as_complex_matrix,
     complete_isometry_to_unitary,
 )
@@ -45,8 +44,6 @@ class MeasurementProcess:
     ancilla_state: State
     isometry: np.ndarray
     meter: Observable
-
-    __setstate__ = _restore_read_only
 
     def __init__(self, system_dim: int, ancilla_state: State, coupling, meter: Observable) -> None:
         if system_dim < 1:
@@ -83,6 +80,16 @@ class MeasurementProcess:
         vars(mp).update(fields, meter=_pointer_meter(labels), _complete=complete)
         return mp
 
+    def __reduce__(self):
+        """Rebuilt by the constructor that made it; a built process's labels go
+        back in ancilla order, read off its pointer meter's permutation basis."""
+        if "_complete" not in vars(self):
+            return type(self), (self.system_dim, self.ancilla_state, self.coupling, self.meter)
+        slots = np.argmax(self.meter.spectral.basis.real, axis=0)
+        labels = np.array(self.meter.labels)[np.argsort(slots)].tolist()
+        isometry = functools.partial(np.array, self.isometry)
+        return self._from_isometry, (self.system_dim, labels, isometry, self._complete)
+
     @functools.cached_property
     def coupling(self) -> np.ndarray:
         """The read-only D x D coupling U."""
@@ -107,7 +114,7 @@ def _evolved(coupling: np.ndarray, meter: Observable, before: int, after: int) -
     blocks = tuple(
         (value, (adjoint @ b).reshape(len(coupling), -1)) for value, b in meter.spectral.blocks
     )
-    return Observable.from_spectral(SpectralDecomposition(blocks))
+    return Observable(SpectralDecomposition(blocks))
 
 
 def heisenberg_meter(mp: MeasurementProcess) -> Observable:
@@ -202,7 +209,7 @@ def _pointer_meter(labels) -> Observable:
     """Meter reading labels[k] off ancilla basis vector k, branches sorted by label."""
     basis = np.eye(len(labels), dtype=complex)
     blocks = tuple((labels[k], basis[:, k : k + 1]) for k in np.argsort(labels))
-    return Observable.from_spectral(SpectralDecomposition(blocks))
+    return Observable(SpectralDecomposition(blocks))
 
 
 def _effect_sqrt(effects: np.ndarray) -> np.ndarray:

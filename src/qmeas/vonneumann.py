@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpectralDecomposition, State, _restore_read_only
+from .linalg import SpectralDecomposition, State, _reduce
 from .linalg import complete_isometry_to_unitary, schmidt_decompose
 from .observables import Observable, _born_table, clamp_probability
 from .processes import MeasurementProcess
@@ -43,7 +43,7 @@ class EntanglementReport:
     condition_results: dict[str, bool]
     max_violation: float
 
-    __setstate__ = _restore_read_only
+    __reduce__ = _reduce
 
     def __post_init__(self) -> None:
         joint = np.array(self.joint, dtype=float)
@@ -209,6 +209,6 @@ def find_entangled_observables(
     def ladder_observable(states: tuple[State, ...]) -> Observable:
         basis = complete_isometry_to_unitary(np.column_stack([s.amplitudes for s in states]))
         blocks = tuple((float(k + 1), basis[:, k : k + 1]) for k in range(len(basis)))
-        return Observable.from_spectral(SpectralDecomposition(blocks))
+        return Observable(SpectralDecomposition(blocks))
 
     return ladder_observable(left_states), ladder_observable(right_states)

@@ -31,7 +31,7 @@ from qmeas.intersubjectivity import (
     sample_outcomes,
     verify_oit,
 )
-from qmeas.linalg import State, random_state
+from qmeas.linalg import SpectralDecomposition, State, random_state
 from qmeas.observables import (
     Observable,
     OutcomeDistribution,
@@ -202,11 +202,10 @@ def test_composed_scenario_survives_a_pickle_round_trip(first):
     assert joint_distribution(copy, psi) == joint_distribution(scenario, psi)
 
 
-def writeable_arrays(value, path):
-    """Path of every writeable ndarray reachable from value through tuples,
-    dicts and the attributes of the package's objects."""
-    if isinstance(value, np.ndarray):
-        return [path] if value.flags.writeable else []
+def reachable(value, path):
+    """(path, item) of value and of everything reachable from it through
+    tuples, dicts and the attributes of the package's objects."""
+    yield path, value
     if isinstance(value, tuple):
         items = enumerate(value)
     elif isinstance(value, dict):
@@ -214,8 +213,43 @@ def writeable_arrays(value, path):
     elif type(value).__module__.startswith("qmeas."):
         items = vars(value).items()
     else:
-        return []
-    return [p for key, item in items for p in writeable_arrays(item, f"{path}.{key}")]
+        return
+    for key, item in items:
+        yield from reachable(item, f"{path}.{key}")
+
+
+def writeable_arrays(value, path):
+    return [p for p, x in reachable(value, path) if isinstance(x, np.ndarray) and x.flags.writeable]
+
+
+def detached_views(value, path):
+    """Path of every POVM whose outcomes, and every spectral family whose
+    blocks, do not share memory with its effect stack or its basis."""
+    found = []
+    for p, x in reachable(value, path):
+        if isinstance(x, Povm):
+            views, whole = [e for _, e in x.outcomes], x.effects
+        elif isinstance(x, SpectralDecomposition):
+            views, whole = [b for _, b in x.blocks], x.basis
+        else:
+            continue
+        if not all(np.shares_memory(view, whole) for view in views):
+            found.append(p)
+    return found
+
+
+def same_fields(a, b):
+    """a and b hold equal arrays and equal values, dataclass field by field."""
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(same_fields, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_fields(a[k], b[k]) for k in a)
+    if dataclasses.is_dataclass(a):
+        fields = [f.name for f in dataclasses.fields(a)]
+        return type(a) is type(b) and all(same_fields(getattr(a, f), getattr(b, f)) for f in fields)
+    return a == b
 
 
 def built_objects():
@@ -226,8 +260,8 @@ def built_objects():
     scenario = compose_joint_scenario(built, naimark_dilation(Povm.from_observable(a)))
     phi = entangled_state(random_state(3, seed=1), a)
     report = check_observable_entanglement(a, built.meter, phi)
-    # Read every cached property first, so its array is pickled too.
-    a.spectral.branches, built.coupling, scenario.evolved_meter1, scenario.evolved_meter2
+    # Read every cached property first: none of them may reach the copy.
+    a.matrix, a.spectral.branches, built.coupling, scenario.evolved_meter1, scenario.evolved_meter2
     return {
         "state": random_state(3, seed=2),
         "observable": a,
@@ -254,9 +288,49 @@ def built_objects():
 def test_every_array_stays_read_only_through_a_pickle_round_trip(name):
     value = built_objects()[name]
     assert writeable_arrays(value, name) == []
+    assert detached_views(value, name) == []
     copy = pickle.loads(pickle.dumps(value))
     assert type(copy) is type(value)
+    assert same_fields(copy, value)
     assert writeable_arrays(copy, name) == []
+    assert detached_views(copy, name) == []
+
+
+def test_a_pickled_process_leaves_its_cached_coupling_out():
+    mp = build_vn_process(Observable.from_matrix(np.diag([1.0, 2.0, 2.0])))
+    before = pickle.dumps(mp)
+    mp.coupling, mp.meter.matrix, mp.meter.spectral.branches
+    assert pickle.dumps(mp) == before
+    assert "coupling" not in vars(pickle.loads(before))
+
+
+def test_a_dilation_with_unsorted_labels_round_trips_bit_for_bit():
+    outcomes = random_povm_outcomes(2, 3, np.random.default_rng(8))
+    mp = naimark_dilation(Povm(tuple(zip((3.0, -1.0, 0.5), (e for _, e in outcomes)))))
+    copy = pickle.loads(pickle.dumps(mp))
+    assert copy.meter.labels == mp.meter.labels == (-1.0, 0.5, 3.0)
+    for read in (
+        lambda p: p.isometry,
+        lambda p: p.coupling,
+        lambda p: p.meter.spectral.basis,
+        lambda p: induced_povm(p).effects,
+    ):
+        assert np.array_equal(read(copy), read(mp))
+    psi = random_state(2, seed=5)
+    assert outcome_distribution(copy, psi) == outcome_distribution(mp, psi)
+
+
+class ForgedState:
+    """Pickles as a State handed a vector of norm 2."""
+
+    def __reduce__(self):
+        return State, (np.array([2.0, 0.0]),)
+
+
+def test_a_pickle_is_checked_by_the_constructor_on_load():
+    data = pickle.dumps(ForgedState())
+    with pytest.raises(ValueError, match="state has unit norm"):
+        pickle.loads(data)
 
 
 def test_oit_at_the_guard_peak_memory():

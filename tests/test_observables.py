@@ -55,24 +55,23 @@ def test_observable_matrix_matches_spectral():
     assert np.linalg.norm(rebuilt - m) <= 1e-10
 
 
-def test_observable_rejects_mismatched_spectral():
-    spec = hermitian_eig(PAULI_Z)
-    with pytest.raises(ValueError):
-        Observable(np.eye(2), spec)
-
-
-def test_from_spectral_forms_its_matrix_once(monkeypatch):
+def test_observable_forms_its_matrix_once_on_first_read(monkeypatch):
     calls = []
     form = observables._spectral_matrix
     monkeypatch.setattr(observables, "_spectral_matrix", lambda s: calls.append(s) or form(s))
     spec = hermitian_eig(np.diag([1.0, 2.0, 2.0]))
-    a = Observable.from_spectral(spec)
-    assert len(calls) == 1
+    a = Observable(spec)
+    assert calls == []
+    assert a.matrix is a.matrix
+    assert calls == [spec]
     np.testing.assert_array_equal(a.matrix, form(spec))
     assert not a.matrix.flags.writeable
+
+
+def test_from_matrix_rejects_a_family_that_misses_its_matrix(monkeypatch):
+    monkeypatch.setattr(observables, "hermitian_eig", lambda m: hermitian_eig(PAULI_Z))
     with pytest.raises(ValueError, match="matrix matches its spectral family"):
-        Observable(np.diag([1.0, 2.0, 3.0]), spec)
-    assert len(calls) == 2
+        Observable.from_matrix(np.eye(2))
 
 
 def test_observable_merges_degeneracies():

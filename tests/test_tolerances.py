@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qmeas
+from qmeas import observables
 from qmeas.errors import NumericalConsistencyError
 from qmeas.intersubjectivity import IntersubjectivityReport, JointDistribution
 from qmeas.linalg import SpectralDecomposition, State, hermitian_eig
@@ -145,6 +146,37 @@ def test_every_raised_residual_check_goes_through_require():
     assert sites == []
 
 
+#: The only (module, function) pairs that may build an object without its
+#: ``__init__``: each runs its class's one named check itself.
+BYPASSES_INIT = {
+    ("processes.py", "_from_isometry"),
+    ("intersubjectivity.py", "compose_joint_scenario"),
+}
+
+
+def constructor_bypasses(name):
+    """Line and kind of each ``__setstate__`` defined in a module, and of each
+    ``object.__new__`` outside BYPASSES_INIT: a way in that skips a constructor."""
+    tree = parse(name)
+    owner = enclosing_functions(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "__setstate__":
+            yield node.lineno, "__setstate__"
+        elif isinstance(node, ast.Name) and node.id == "__setstate__":
+            yield node.lineno, "__setstate__"
+        elif ast.unparse(node) == "object.__new__" and (name, owner[node]) not in BYPASSES_INIT:
+            yield node.lineno, "object.__new__"
+
+
+def test_every_object_comes_in_through_its_constructor():
+    sites = [
+        f"{name}:{line} {kind}"
+        for name in other_modules()
+        for line, kind in constructor_bypasses(name)
+    ]
+    assert sites == []
+
+
 #: A non-Hermitian qubit matrix, and a bump that takes I/2 outside [0, 1].
 SKEW = np.array([[0.5, 0.5], [-0.5, 0.5]])
 BUMP = 0.6 * np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -153,6 +185,13 @@ BUMP = 0.6 * np.array([[0.0, 1.0], [1.0, 0.0]])
 def qubit_process(coupling):
     meter = Observable.from_matrix(np.diag([0.0, 1.0]))
     return MeasurementProcess(2, State.basis(2, 0), coupling, meter)
+
+
+def eye_with_pauli_z_family():
+    """``from_matrix(eye(2))`` handed Pauli-Z's family: ||I - Z||_F = 2."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(observables, "hermitian_eig", lambda m: hermitian_eig(np.diag([1.0, -1.0])))
+        Observable.from_matrix(np.eye(2))
 
 
 @pytest.mark.parametrize(
@@ -168,6 +207,13 @@ def qubit_process(coupling):
             5e-11,
         ),
         (lambda: State(np.array([2.0, 0.0])), ValueError, "state has unit norm", 1.0, 1e-12),
+        (
+            eye_with_pauli_z_family,
+            ValueError,
+            "matrix matches its spectral family",
+            2.0,
+            1e-10,
+        ),
         (
             lambda: OutcomeDistribution(((0.0, 0.5), (1.0, 0.4))),
             NumericalConsistencyError,
@@ -198,7 +244,15 @@ def qubit_process(coupling):
         ),
     ],
     ids=[
-        "coupling", "hermitian", "basis", "state", "sum", "povm-sum", "povm-hermitian", "povm-spectrum"
+        "coupling",
+        "hermitian",
+        "basis",
+        "state",
+        "observable",
+        "sum",
+        "povm-sum",
+        "povm-hermitian",
+        "povm-spectrum",
     ],
 )
 def test_a_failed_check_names_its_residual_and_bound(build, error, check, residual, bound):
