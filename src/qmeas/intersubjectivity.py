@@ -13,11 +13,10 @@ construction) are built only when read, each at O(D^3). The checks here
 measure how much probability the two observers assign to unequal outcomes;
 a report's pass flag is read from the mass it summarizes.
 
-``verify_oit`` evaluates its seeded trials in chunks, each chunk as one
-batch of states through the same Born kernel that reads a single joint law;
-the chunk length keeps the chunk's composite states near 2^14 complex
-entries, so the only memory that grows with the trial count is the seed
-array, 4 bytes per trial.
+``verify_oit`` draws its trial states in order from the one stream its seed
+names and evaluates them in chunks of about 2^14 complex entries of composite
+states, each chunk one batch through the Born kernel that reads a single joint
+law, so no memory grows with the trial count.
 
 For processes that reproduce the same sharp observable that off-diagonal
 mass vanishes: both observers always read the same value. Two dilations of
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LocalityError, NumericalConsistencyError
-from .linalg import PRODUCT_DIM_GUARD, State, _gaussian_amplitudes, _gram_error
+from .linalg import PRODUCT_DIM_GUARD, State, _check_seed, _gaussian_amplitudes, _gram_error
 from .observables import (
     Observable,
     Povm,
@@ -53,8 +52,9 @@ from .tolerances import STATE_NORM_TOL, UNITARY_TOL, _require
 from .vonneumann import build_vn_process
 
 # verify_oit evaluates its trials in chunks whose composite states hold about
-# this many complex entries (256 KiB), whatever the trial count.
+# this many complex entries (256 KiB); a run takes at most _MAX_CHUNKS, ~1 ms each.
 _CHUNK_ENTRIES = 2**14
+_MAX_CHUNKS = 2**20
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -284,11 +284,6 @@ def check_intersubjectivity(
     return IntersubjectivityReport(off_mass, diagonal, tol)
 
 
-def _check_seed(seed: int) -> None:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-
-
 def verify_oit(
     a: Observable,
     trials: int = 100,
@@ -304,9 +299,9 @@ def verify_oit(
     ``label_tol``, which set only the agreement check), composes them, and
     runs the agreement check on seeded random states. Also tracks how far
     the diagonal probabilities drift from the Born distribution of ``a``.
-    Per-trial seeds derive from the given seed through numpy's SeedSequence,
-    and each trial state is drawn as ``random_state`` draws it, so summaries
-    replay exactly.
+    The trial states come in trial order from the one stream
+    ``default_rng(seed)``, each drawn as ``random_state`` draws it, so trial 0
+    is ``random_state(a.dim, seed)`` and any chunk length replays exactly.
 
     The trials are evaluated in chunks, each as one batch: the chunk's
     states are normalized as one (T, d) array, and every joint law and Born
@@ -316,8 +311,8 @@ def verify_oit(
     probability clamping and both sums, with the same bounds and errors.
     A chunk holds about 2^14 complex entries of composite states, D = d k1 k2
     per trial, and of their rotations into the meter eigenbases: its largest
-    arrays. The one array that grows with the trial count is the uint32 seed
-    array, 4 bytes per trial; each chunk converts only its own slice to ints.
+    arrays, and no array grows with the trial count. More trials than 2^20
+    chunks hold raise ``ValueError``.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -333,14 +328,16 @@ def verify_oit(
     scenario = compose_joint_scenario(first, second)
     d, k1, k2 = a.dim, first.ancilla_dim, second.ancilla_dim
     chunk = max(1, _CHUNK_ENTRIES // (d * k1 * k2))
+    if trials > chunk * _MAX_CHUNKS:
+        raise ValueError(f"trials {trials} exceed the limit {chunk * _MAX_CHUNKS} at d = {d}")
     # The pointer process's meter carries a's labels in a's order, so column i
     # of the diagonal mass below pairs with a's Born probability of label i.
     agree = _agreement(scenario, label_tol)
-    trial_seeds = np.random.SeedSequence(seed).generate_state(trials)
+    rng = np.random.default_rng(seed)
     max_off = 0.0
     max_gap = 0.0
     for start in range(0, trials, chunk):
-        psi = _gaussian_amplitudes(d, trial_seeds[start : start + chunk].tolist())
+        psi = _gaussian_amplitudes(rng, min(chunk, trials - start), d)
         psi /= np.linalg.norm(psi, axis=1)[:, None]
         _require("state has unit norm", np.abs(np.linalg.norm(psi, axis=1) - 1.0), STATE_NORM_TOL)
         joint = _joint_tables(scenario, psi)

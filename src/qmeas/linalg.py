@@ -253,12 +253,19 @@ def random_state(dim: int, seed: int) -> State:
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
-    return State.normalized(_gaussian_amplitudes(dim, [seed])[0])
+    _check_seed(seed)
+    return State.normalized(_gaussian_amplitudes(np.random.default_rng(seed), 1, dim)[0])
 
 
-def _gaussian_amplitudes(dim: int, seeds) -> np.ndarray:
-    """One complex standard Gaussian row of length dim per seed, shape
-    (len(seeds), dim). Row t takes its real and then its imaginary parts from
-    ``default_rng(seeds[t])``, so it is the unnormalized ``random_state``."""
-    draws = np.array([np.random.default_rng(s).standard_normal((2, dim)) for s in seeds])
+def _check_seed(seed: int) -> None:
+    """The one seed rule: a seed is a nonnegative integer naming one PCG64 stream."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+
+
+def _gaussian_amplitudes(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """The next count complex Gaussian rows of length dim from rng, each its real
+    then its imaginary parts: splitting the draws changes no row, and row 0 of
+    ``default_rng(seed)`` is the unnormalized ``random_state(dim, seed)``."""
+    draws = rng.standard_normal((count, 2, dim))
     return draws[:, 0] + 1j * draws[:, 1]

@@ -206,8 +206,9 @@ def test_failed_oit_precondition_exits_3(tmp_path, capsys, monkeypatch, gaps, me
 
 
 def test_unallocatable_trial_count_is_invalid_input(tmp_path, capsys):
-    # 2**60 uint32 trial seeds are 4 EiB, beyond any address space, so the
-    # request fails before anything is allocated.
+    # 2**60 trials at Pauli-Z are 2**49 chunks of 2048, far past the 2**20
+    # chunks a run may take (minutes of work), so the request is refused
+    # before any trial runs.
     payload = {"observable": {"matrix": encode_matrix(PAULI_Z)}, "trials": 2**60}
     path = write_payload(tmp_path, "obs.json", payload)
     code, out, err = run(capsys, ["verify-oit", "--input", path])

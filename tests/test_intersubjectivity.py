@@ -572,8 +572,10 @@ def reference_oit(a, trials, seed, label_tol):
         build_vn_process(a), naimark_dilation(Povm.from_observable(a))
     )
     max_off, max_gap, passes = 0.0, 0.0, True
-    for trial_seed in np.random.SeedSequence(seed).generate_state(trials):
-        psi = random_state(a.dim, int(trial_seed))
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        re, im = rng.standard_normal((2, a.dim))
+        psi = State.normalized(re + 1j * im)
         report = check_intersubjectivity(scenario, psi, label_tol=label_tol)
         max_off = max(max_off, report.off_diagonal_mass)
         passes = passes and report.passes
@@ -607,16 +609,27 @@ OIT_CASES = {
 
 @pytest.fixture
 def chunks(monkeypatch):
-    """The trial seeds of each chunk verify_oit draws, recorded in order."""
+    """The unnormalized trial states of each chunk verify_oit draws, in order;
+    the length of each is that draw's count."""
     drawn = []
     draw = intersubjectivity._gaussian_amplitudes
 
-    def recording_draw(dim, seeds):
-        drawn.append(list(seeds))
-        return draw(dim, seeds)
+    def recording_draw(rng, count, dim):
+        rows = draw(rng, count, dim)
+        assert rows.shape == (count, dim)
+        drawn.append(rows.copy())
+        return rows
 
     monkeypatch.setattr(intersubjectivity, "_gaussian_amplitudes", recording_draw)
     return drawn
+
+
+def assert_one_stream(chunks, trials, dim, seed):
+    """The drawn states are default_rng(seed)'s first trials x 2 x dim normals,
+    real parts then imaginary parts per trial, bit for bit."""
+    states = np.concatenate(chunks)
+    expected = np.random.default_rng(seed).standard_normal((trials, 2, dim))
+    np.testing.assert_array_equal(np.stack([states.real, states.imag], axis=1), expected)
 
 
 @pytest.mark.parametrize("case", sorted(OIT_CASES))
@@ -630,9 +643,8 @@ def test_chunked_oit_matches_the_per_trial_loop(case, chunks):
         assert summary.passes is passes
         assert abs(summary.max_off_diagonal_mass - max_off) <= 1e-12
         assert abs(summary.max_born_gap - max_gap) <= 1e-12
-        # Every trial state is random_state's for its SeedSequence seed.
-        seeds = np.random.SeedSequence(trials).generate_state(trials).tolist()
-        assert [s for chunk in chunks for s in chunk] == seeds
+        # The trial states are one default_rng(seed) stream in trial order.
+        assert_one_stream(chunks, trials, a.dim, trials)
         if trials in long_runs:
             lengths = [len(chunk) for chunk in chunks]
             assert len(lengths) >= 3 and lengths[-1] < lengths[0], lengths
@@ -645,6 +657,39 @@ def test_oit_chunks_follow_the_composite_dimension(chunks):
     assert len(a.labels) == 12
     assert verify_oit(a, trials=100, seed=0).passes
     assert [len(chunk) for chunk in chunks] == [9] * 11 + [1]
+    assert_one_stream(chunks, 100, 12, 0)
+
+
+def test_oit_states_do_not_depend_on_the_chunk_length(chunks, monkeypatch):
+    # Pauli-Z: D = 8, so 2^14 entries hold 2048 trials and 64 entries hold 8.
+    a = Observable.from_matrix(PAULI_Z)
+    default = verify_oit(a, trials=100, seed=4)
+    assert [len(chunk) for chunk in chunks] == [100]
+    chunks.clear()
+    monkeypatch.setattr(intersubjectivity, "_CHUNK_ENTRIES", 64)
+    small = verify_oit(a, trials=100, seed=4)
+    assert [len(chunk) for chunk in chunks] == [8] * 12 + [4]
+    assert_one_stream(chunks, 100, 2, 4)
+    assert small == default
+
+
+@pytest.mark.parametrize("dim", [2, 5])
+def test_oit_trial_zero_is_random_state(chunks, dim):
+    a = rotated_observable(range(dim), dim)
+    verify_oit(a, trials=3, seed=2**40 + 3)
+    first = chunks[0][0]
+    np.testing.assert_array_equal(
+        first / np.linalg.norm(first), random_state(dim, 2**40 + 3).amplitudes
+    )
+
+
+def test_oit_refuses_more_trials_than_its_chunks_hold(monkeypatch):
+    # Pauli-Z: D = 8, so a chunk holds 2^14 / 8 = 2048 trials.
+    monkeypatch.setattr(intersubjectivity, "_MAX_CHUNKS", 3)
+    a = Observable.from_matrix(PAULI_Z)
+    assert verify_oit(a, trials=3 * 2048, seed=1).passes
+    with pytest.raises(ValueError, match="trials 6145 exceed the limit 6144"):
+        verify_oit(a, trials=3 * 2048 + 1, seed=1)
 
 
 def test_oit_reads_no_per_state_law(monkeypatch):
@@ -679,6 +724,23 @@ def test_oit_zero_tol_fails_the_agreement_check_not_its_precondition():
     summary = verify_oit(a, trials=5, tol=0.0)
     assert not summary.passes
     assert summary.max_off_diagonal_mass > 0.0
+
+
+def test_oit_memory_does_not_grow_with_the_trial_count():
+    # Pauli-Z: 2^13 trials are 4 chunks and 2^17 are 64; each chunk reuses
+    # the same sizes, and no per-trial array outlives its chunk. A first call
+    # allocates lasting caches, so it runs untraced.
+    a = Observable.from_matrix(PAULI_Z)
+    verify_oit(a, trials=2**13, seed=5)
+    peaks = []
+    for trials in (2**13, 2**17):
+        tracemalloc.start()
+        try:
+            assert verify_oit(a, trials=trials, seed=5).passes
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 16 * 2**10, peaks
 
 
 def test_oit_memory_is_bounded_whatever_the_trial_count():
@@ -766,6 +828,20 @@ def test_sampling_rejects_negative_count():
     scenario = two_pointer_scenario(PAULI_Z)
     with pytest.raises(ValueError):
         sample_outcomes(scenario, State.basis(2, 0), -1, seed=0)
+
+
+@pytest.mark.parametrize("seed", [None, -1, 1.5])
+def test_every_seeded_call_has_one_seed_rule(seed):
+    # random_state, verify_oit and sample_outcomes share linalg._check_seed.
+    scenario = two_pointer_scenario(PAULI_Z)
+    calls = [
+        lambda: random_state(2, seed),
+        lambda: verify_oit(Observable.from_matrix(PAULI_Z), trials=1, seed=seed),
+        lambda: sample_outcomes(scenario, State.basis(2, 0), 10, seed),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
+            call()
 
 
 def test_sampling_is_deterministic_and_complete():
