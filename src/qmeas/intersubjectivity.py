@@ -2,21 +2,21 @@
 
 Two measurement processes that share the system but own separate ancillas
 are composed into one scenario, only by ``compose_joint_scenario``, through
-their isometries V = U (I x xi): applied one after the other they give the
-scenario's (D, d) isometry into the threefold space at O(D d^2), so a
-scenario's joint law is the one its processes define. That law is read
-from the state tensor, the isometry applied to the system state, by
-rotating each ancilla axis into its meter's eigenbasis and summing squared
-amplitudes over each pair of branches. The dense D x D composite coupling
-and the evolved meters (each process meter conjugated by it, commuting by
-construction) are built only when read, each at O(D^3). The checks here
-measure how much probability the two observers assign to unequal outcomes;
-a report's pass flag is read from the mass it summarizes.
+their isometries V = U (I x xi), each with its ancilla axis rotated into its
+meter's eigenbasis: applied one after the other they give the scenario's
+(D, d) rows W = (I x B1^H x B2^H) V at O(D d^2), so a scenario's joint law
+is the one its processes define. That law is read from W psi, the state
+tensor already in both meter eigenbases, by summing squared amplitudes over
+each pair of branches. The isometry V itself, the dense D x D composite
+coupling and the evolved meters (each process meter conjugated by it,
+commuting by construction) are built only when read, the last two at O(D^3).
+The checks here measure how much probability the two observers assign to
+unequal outcomes; a report's pass flag is read from the mass it summarizes.
 
 ``verify_oit`` draws its trial states in order from the one stream its seed
 names and evaluates them in chunks of about 2^14 complex entries of composite
-states, each chunk one batch through the Born kernel that reads a single joint
-law, so no memory grows with the trial count.
+states, each chunk's joint laws one complex product with W and one branch sum,
+so no memory grows with the trial count.
 
 For processes that reproduce the same sharp observable that off-diagonal
 mass vanishes: both observers always read the same value. Two dilations of
@@ -36,7 +36,7 @@ from .linalg import PRODUCT_DIM_GUARD, State, _check_seed, _gaussian_amplitudes,
 from .observables import (
     Observable,
     Povm,
-    _born_table,
+    _branch_sums,
     _check_distribution,
     _labels_agree,
     clamp_probability,
@@ -63,22 +63,22 @@ class JointScenario:
 
     Built only by ``compose_joint_scenario``; the class has no constructor of
     its own. The composite space is system x first ancilla x second ancilla;
-    process ``first`` couples first. The data is the (D, d) isometry V, the
-    two process isometries contracted over the system index they share,
-    with V^H V = I checked within UNITARY_TOL at O(D d^2). The joint law is
-    read from V alone (see ``joint_distribution``).
+    process ``first`` couples first. The data is the read-only (D, d) rows
+    ``_rows``, W = (I x B1^H x B2^H) V, the scenario isometry V in both meter
+    eigenbases, with W^H W = I checked within UNITARY_TOL at O(D d^2). The
+    joint law is read from W alone (see ``joint_distribution``).
 
-    The read-only dense ``composite_coupling`` (O(D^3) with its unitarity
-    check) and the evolved meters (each process meter on its own ancilla
-    factor conjugated by it, O(D^3) each) are built on first read and kept.
-    The meters commute by construction, being lifted to distinct factors
-    and conjugated by one unitary, and are checked to within COMMUTATOR_TOL
-    (else ``LocalityError``).
+    The read-only ``isometry`` V, the dense ``composite_coupling`` (O(D^3)
+    with its unitarity check) and the evolved meters (each process meter on
+    its own ancilla factor conjugated by it, O(D^3) each) are built on first
+    read and kept. The meters commute by construction, being lifted to
+    distinct factors and conjugated by one unitary, and are checked to
+    within COMMUTATOR_TOL (else ``LocalityError``).
     """
 
     process1: MeasurementProcess
     process2: MeasurementProcess
-    isometry: np.ndarray
+    _rows: np.ndarray
     first: int
 
     def __reduce__(self):
@@ -91,6 +91,12 @@ class JointScenario:
     @property
     def total_dim(self) -> int:
         return self.system_dim * self.process1.ancilla_dim * self.process2.ancilla_dim
+
+    @functools.cached_property
+    def isometry(self) -> np.ndarray:
+        d = self.system_dim
+        v1, v2 = (p.isometry.reshape(d, -1, d) for p in (self.process1, self.process2))
+        return _chain(v1, v2, self.first)
 
     @functools.cached_property
     def composite_coupling(self) -> np.ndarray:
@@ -186,47 +192,50 @@ def compose_joint_scenario(
 
     Each coupling acts on the system and its own ancilla, with identity on
     the other observer's ancilla, and the two are applied sequentially;
-    process ``first`` (1 or 2) couples first. The scenario's isometry is the
-    two process isometries contracted over the system index they share, at
-    O(D d^2) cost, so its joint law is the one its processes define; the
-    composite coupling and the evolved meters are built on first read.
+    process ``first`` (1 or 2) couples first. The process isometries, each
+    ancilla axis in its meter's eigenbasis (one batched k x k product), are
+    contracted over their shared system index at O(D d^2), so the rows W are
+    the ones the processes define; V and the dense objects come on first read.
     """
     if first not in (1, 2):
         raise ValueError("first must be 1 or 2")
     if p1.system_dim != p2.system_dim:
         raise ValueError("processes disagree on the system dimension")
-    d, k1, k2 = p1.system_dim, p1.ancilla_dim, p2.ancilla_dim
-    total = d * k1 * k2
+    d, total = p1.system_dim, p1.total_dim * p2.ancilla_dim
     if total > PRODUCT_DIM_GUARD:
         raise ValueError(f"composite dimension {total} exceeds the guard {PRODUCT_DIM_GUARD}")
-    v1 = p1.isometry.reshape(d, k1, d)
-    v2 = p2.isometry.reshape(d, k2, d)
-    # Rows are (system, ancilla 1, ancilla 2), the column is the input
-    # system index; m is the system index between the two isometries.
-    if first == 1:
-        v = np.einsum("icm,maj->iacj", v2, v1, optimize=True).reshape(total, d)
-    else:
-        v = np.einsum("iam,mcj->iacj", v1, v2, optimize=True).reshape(total, d)
-    _require("scenario isometry has orthonormal columns", _gram_error(v), UNITARY_TOL)
-    v.setflags(write=False)
+    w1, w2 = (p.meter.spectral.basis.conj().T @ p.isometry.reshape(d, -1, d) for p in (p1, p2))
+    rows = _chain(w1, w2, first)
+    _require("scenario isometry has orthonormal columns", _gram_error(rows), UNITARY_TOL)
     scenario = object.__new__(JointScenario)
-    vars(scenario).update(process1=p1, process2=p2, isometry=v, first=first)
+    vars(scenario).update(process1=p1, process2=p2, _rows=rows, first=first)
     return scenario
+
+
+def _chain(v1: np.ndarray, v2: np.ndarray, first: int) -> np.ndarray:
+    """Read-only (D, d) product of process isometries (d, k1, d) and (d, k2, d),
+    process ``first`` first, rows (system, ancilla 1, ancilla 2); m is the
+    system index between the two."""
+    if first == 1:
+        v = np.einsum("icm,maj->iacj", v2, v1, optimize=True)
+    else:
+        v = np.einsum("iam,mcj->iacj", v1, v2, optimize=True)
+    v = v.reshape(-1, v.shape[-1])
+    v.setflags(write=False)
+    return v
 
 
 def _joint_tables(scenario: JointScenario, psi: np.ndarray) -> np.ndarray:
     """Clamped joint law (see ``joint_distribution``) of each row of the
     (T, d) array psi, shape (T, n1, n2).
 
-    The composite states V psi are psi V^T, with V the scenario's stored
-    (D, d) isometry, read as a (T, d, k1, k2) tensor: O(T D d) work, then
-    O(T D (k1 + k2)) in the Born kernel. Every table must sum to 1 within
-    PROBABILITY_SUM_TOL.
+    The amplitudes W psi, in both meter eigenbases, are one complex product
+    psi W^T at O(T D d), summed as (T, d, k1, k2) squared moduli per pair of
+    branches. Every table must sum to 1 within PROBABILITY_SUM_TOL.
     """
     meter1, meter2 = scenario.process1.meter, scenario.process2.meter
-    d, k1, k2 = scenario.system_dim, meter1.dim, meter2.dim
-    w = (psi @ scenario.isometry.T).reshape(-1, d, k1, k2)
-    probs = clamp_probability(_born_table(w, meter1.spectral, meter2.spectral))
+    amps = (psi @ scenario._rows.T).reshape(-1, scenario.system_dim, meter1.dim, meter2.dim)
+    probs = clamp_probability(_branch_sums(amps, meter1.spectral, meter2.spectral))
     gap = np.abs(probs.sum(axis=(1, 2)) - 1.0)
     _require("joint probabilities sum to 1", gap, PROBABILITY_SUM_TOL, NumericalConsistencyError)
     return probs
@@ -304,15 +313,15 @@ def verify_oit(
     is ``random_state(a.dim, seed)`` and any chunk length replays exactly.
 
     The trials are evaluated in chunks, each as one batch: the chunk's
-    states are normalized as one (T, d) array, and every joint law and Born
-    law of the chunk is read through the one Born kernel with a leading
-    batch axis. Each trial keeps the checks of the per-state functions
-    (``check_intersubjectivity``, ``born_probabilities``): state norm,
-    probability clamping and both sums, with the same bounds and errors.
-    A chunk holds about 2^14 complex entries of composite states, D = d k1 k2
-    per trial, and of their rotations into the meter eigenbases: its largest
-    arrays, and no array grows with the trial count. More trials than 2^20
-    chunks hold raise ``ValueError``.
+    states are normalized as one (T, d) array, its joint laws are one
+    complex product with the scenario's rows (``_joint_tables``) and its Born
+    laws of ``a`` one product with a's eigenbasis, each then summed per
+    branch by the one ``_branch_sums``. Each trial keeps the checks of the
+    per-state functions (``check_intersubjectivity``, ``born_probabilities``):
+    state norm, probability clamping and both sums, with the same bounds and
+    errors. A chunk holds about 2^14 complex entries of composite amplitudes,
+    D = d k1 k2 per trial: its largest arrays, and no array grows with the
+    trial count. More trials than 2^20 chunks hold raise ``ValueError``.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -343,7 +352,8 @@ def verify_oit(
         joint = _joint_tables(scenario, psi)
         off = np.where(agree, 0.0, joint).sum(axis=(1, 2))
         diagonal = np.where(agree, joint, 0.0).sum(axis=2)
-        born = clamp_probability(_born_table(psi.reshape(-1, 1, d, 1), a.spectral)[..., 0])
+        amps = (psi @ a.spectral.basis.conj()).reshape(-1, 1, d, 1)
+        born = clamp_probability(_branch_sums(amps, a.spectral)[..., 0])
         gap = np.abs(born.sum(axis=1) - 1.0)
         _require("probabilities sum to 1", gap, PROBABILITY_SUM_TOL, NumericalConsistencyError)
         max_off = max(max_off, float(off.max()))
@@ -387,12 +397,13 @@ def sample_outcomes(
     joint = joint_distribution(scenario, psi)
     if n == 0:
         return {}
-    labels = [pair for pair, _ in joint.entries]
     boundaries = np.cumsum([p for _, p in joint.entries])
     boundaries[-1] = 1.0
-    rng = np.random.default_rng(seed)
-    picks = np.searchsorted(boundaries, rng.random(n), side="right")
-    counts: dict[tuple[float, float], int] = {}
-    for index, count in zip(*np.unique(picks, return_counts=True)):
-        counts[labels[int(index)]] = int(count)
-    return counts
+    counts = _cell_counts(boundaries, np.random.default_rng(seed).random(n)).tolist()
+    return {pair: count for (pair, _), count in zip(joint.entries, counts) if count}
+
+
+def _cell_counts(boundaries: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """How many draws fall in each cell [b_(i-1), b_i) of the nondecreasing
+    boundaries, b_(-1) = 0, counted by sorting: a draw on a boundary goes above it."""
+    return np.diff(np.searchsorted(np.sort(draws), boundaries, side="left"), prepend=0)

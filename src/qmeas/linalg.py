@@ -258,8 +258,8 @@ def random_state(dim: int, seed: int) -> State:
 
 
 def _check_seed(seed: int) -> None:
-    """The one seed rule: a seed is a nonnegative integer naming one PCG64 stream."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    """The one seed rule: a seed is a nonnegative int, not a bool, naming one PCG64 stream."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError("seed must be a nonnegative integer")
 
 

@@ -86,3 +86,26 @@ def reference_born_table(w, left, right):
     rho = rho.transpose(0, 3, 1, 4, 2).reshape(-1, k1 * k1, k2 * k2)
     table = left.reshape(-1, k1 * k1) @ rho @ right.reshape(-1, k2 * k2).T
     return table.real.reshape(*batch, *table.shape[1:])
+
+
+def reference_joint_law(scenario, psi):
+    """The dense evolved-meter law <phi| E1_x E2_y |phi>, shape (n1, n2), with
+    phi = psi x xi1 x xi2 and E1_x, E2_y the spectral projectors of the
+    scenario's evolved meters, each the composite coupling's conjugate of a
+    process meter lifted to its own ancilla factor."""
+    p1, p2 = scenario.process1, scenario.process2
+    phi = np.kron(np.kron(psi.amplitudes, p1.ancilla_state.amplitudes), p2.ancilla_state.amplitudes)
+    branches1 = scenario.evolved_meter1.spectral.branches
+    branches2 = scenario.evolved_meter2.spectral.branches
+    return np.array([[np.vdot(e1 @ phi, e2 @ phi).real for _, e2 in branches2] for _, e1 in branches1])
+
+
+def reference_cell_counts(boundaries, draws):
+    """The per-draw inverse CDF that sorted counting replaced: each draw's cell
+    is the number of boundaries at or below it, counted with ``np.unique``.
+    Returns one count per cell, zeros included."""
+    picks = np.searchsorted(boundaries, draws, side="right")
+    counts = np.zeros(len(boundaries), dtype=int)
+    for index, count in zip(*np.unique(picks, return_counts=True)):
+        counts[index] = count
+    return counts

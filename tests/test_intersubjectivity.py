@@ -16,6 +16,8 @@ from conftest import (
     random_meter_process,
     random_povm_outcomes,
     random_unitary,
+    reference_cell_counts,
+    reference_joint_law,
 )
 from qmeas import intersubjectivity
 from qmeas.errors import LocalityError, NumericalConsistencyError
@@ -152,15 +154,22 @@ def test_stored_isometry_is_the_composite_coupling_at_the_ancilla_states(seed, d
     xi = np.kron(p1.ancilla_state.amplitudes, p2.ancilla_state.amplitudes)[:, None]
     columns = scenario.composite_coupling @ np.kron(np.eye(d), xi)
     assert np.max(np.abs(scenario.isometry - columns)) <= 1e-12
-    assert not scenario.isometry.flags.writeable
-    assert not scenario.composite_coupling.flags.writeable
+    # The stored rows are V with both ancilla axes in their meters' eigenbases.
+    bases = np.kron(p1.meter.spectral.basis, p2.meter.spectral.basis)
+    rows = np.kron(np.eye(d), bases.conj().T) @ scenario.isometry
+    assert np.max(np.abs(scenario._rows - rows)) <= 1e-12
+    for array in (scenario._rows, scenario.isometry, scenario.composite_coupling):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
 
 
 def test_statistics_never_read_the_composite_coupling(monkeypatch):
     def refuse(self):
-        raise AssertionError("statistics must be read from the scenario's isometry")
+        raise AssertionError("statistics must be read from the scenario's rows")
 
     monkeypatch.setattr(JointScenario, "composite_coupling", property(refuse))
+    monkeypatch.setattr(JointScenario, "isometry", property(refuse))
     a = Observable.from_matrix(np.diag([1.0, 2.0, 3.0]))
     assert verify_oit(a, trials=20, seed=2).passes
     scenario = compose_joint_scenario(
@@ -200,6 +209,15 @@ def test_composed_scenario_survives_a_pickle_round_trip(first):
     assert not copy.isometry.flags.writeable
     psi = random_state(3, seed=4)
     assert joint_distribution(copy, psi) == joint_distribution(scenario, psi)
+
+
+def test_a_pickled_scenario_leaves_its_isometry_out():
+    a = Observable.from_matrix(np.diag([1.0, 2.0, 2.0]))
+    scenario = compose_joint_scenario(build_vn_process(a), naimark_dilation(Povm.from_observable(a)))
+    before = pickle.dumps(scenario)
+    scenario.isometry
+    assert pickle.dumps(scenario) == before
+    assert "isometry" not in vars(pickle.loads(before))
 
 
 def reachable(value, path):
@@ -446,6 +464,35 @@ def test_contracted_joint_law_matches_dense_evolved_meters(seed, d, k1, k2, firs
         for (_, got), batched, (_, want) in zip(joint.entries, table.ravel(), expected):
             assert abs(got - want) <= 1e-12
             assert abs(batched - want) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([1, 2]),
+    st.booleans(),
+    st.booleans(),
+)
+@example(seed=6, d=3, k1=4, k2=2, first=2, degenerate1=True, degenerate2=False)
+@example(seed=7, d=2, k1=3, k2=4, first=1, degenerate1=False, degenerate2=True)
+def test_joint_tables_are_the_dense_evolved_meter_law(
+    seed, d, k1, k2, first, degenerate1, degenerate2
+):
+    # Meters in random bases, so each rotation into a meter eigenbasis is a
+    # full unitary; k1 != k2 keeps the two ancilla axes apart.
+    assume(k1 != k2)
+    rng = np.random.default_rng(seed)
+    p1 = random_meter_process(d, k1, rng, degenerate1)
+    p2 = random_meter_process(d, k2, rng, degenerate2)
+    scenario = compose_joint_scenario(p1, p2, first=first)
+    states = [random_state(d, seed=seed + t) for t in range(4)]
+    tables = intersubjectivity._joint_tables(scenario, np.array([s.amplitudes for s in states]))
+    assert tables.shape == (4, len(p1.meter.labels), len(p2.meter.labels))
+    for psi, table in zip(states, tables):
+        assert np.max(np.abs(table - reference_joint_law(scenario, psi))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +877,7 @@ def test_sampling_rejects_negative_count():
         sample_outcomes(scenario, State.basis(2, 0), -1, seed=0)
 
 
-@pytest.mark.parametrize("seed", [None, -1, 1.5])
+@pytest.mark.parametrize("seed", [None, -1, 1.5, True, np.True_])
 def test_every_seeded_call_has_one_seed_rule(seed):
     # random_state, verify_oit and sample_outcomes share linalg._check_seed.
     scenario = two_pointer_scenario(PAULI_Z)
@@ -868,3 +915,36 @@ def test_sampling_never_hits_zero_probability_pairs():
     scenario = two_pointer_scenario(PAULI_Z)
     counts = sample_outcomes(scenario, State.basis(2, 0), 1000, seed=5)
     assert set(counts) == {(1.0, 1.0)}
+
+
+def test_sampling_counts_the_draws_of_its_one_stream():
+    # Off-diagonal cells of two pointer observers have probability zero.
+    scenario = two_pointer_scenario(np.diag([1.0, 2.0, 3.0]))
+    psi = random_state(3, seed=8)
+    joint = joint_distribution(scenario, psi)
+    boundaries = np.cumsum([p for _, p in joint.entries])
+    boundaries[-1] = 1.0
+    for seed in (0, 9, 21):
+        draws = np.random.default_rng(seed).random(5000)
+        want = reference_cell_counts(boundaries, draws).tolist()
+        expected = {pair: count for (pair, _), count in zip(joint.entries, want) if count}
+        assert sample_outcomes(scenario, psi, 5000, seed) == expected
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=8),
+    st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40),
+    st.lists(st.integers(min_value=0, max_value=7), max_size=20),
+)
+def test_sorted_counting_matches_the_per_draw_inverse_cdf(weights, uniforms, on_boundary):
+    # Zero weights give empty cells, and a draw equal to a boundary counts
+    # in the cell above it in both versions.
+    assume(sum(weights) > 0.0)
+    boundaries = np.cumsum(np.array(weights) / sum(weights))
+    boundaries[-1] = 1.0
+    exact = [boundaries[i % len(boundaries)] for i in on_boundary]
+    draws = np.array(uniforms + [b for b in exact if b < 1.0] + [0.0])
+    counts = intersubjectivity._cell_counts(boundaries, draws)
+    assert counts.tolist() == reference_cell_counts(boundaries, draws).tolist()
+    assert counts.sum() == len(draws)
