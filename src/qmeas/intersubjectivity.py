@@ -15,13 +15,16 @@ unequal outcomes; a report's pass flag is read from the mass it summarizes.
 
 ``verify_oit`` draws its trial states in order from the one stream its seed
 names and evaluates them in chunks of about 2^14 complex entries of composite
-states, each chunk's joint laws one complex product with W and one branch sum,
-so no memory grows with the trial count.
+states, each chunk's joint laws one complex product with W, one branch sum and
+one 0/1 agreement map, so no memory grows with the trial count.
 
-For processes that reproduce the same sharp observable that off-diagonal
-mass vanishes: both observers always read the same value. Two dilations of
-the uninformative qubit POVM show the sharp hypothesis is essential: each
-observer sees a fair coin, independently of the other.
+That off-diagonal mass vanishes when each observer's meter, evolved through
+the whole scenario, reproduces one sharp observable a. Each process
+reproducing a gives this when the one coupled first leaves a's projectors
+invariant, sum_x K_x^H P_y K_x = P_y for its instrument K, as the Lueders
+instruments of ``verify_oit`` do; K_x = U_x P_x for unitaries U_x does not.
+Two dilations of the uninformative qubit POVM show the sharp hypothesis is
+essential: each observer sees a fair coin, independently of the other.
 """
 
 from __future__ import annotations
@@ -233,8 +236,10 @@ def _joint_tables(scenario: JointScenario, psi: np.ndarray) -> np.ndarray:
     psi W^T at O(T D d), summed as (T, d, k1, k2) squared moduli per pair of
     branches. Every table must sum to 1 within PROBABILITY_SUM_TOL.
     """
-    meter1, meter2 = scenario.process1.meter, scenario.process2.meter
-    amps = (psi @ scenario._rows.T).reshape(-1, scenario.system_dim, meter1.dim, meter2.dim)
+    d, meter1, meter2 = scenario.system_dim, scenario.process1.meter, scenario.process2.meter
+    if psi.shape[1] != d:
+        raise ValueError(f"state dimension {psi.shape[1]} does not match system dimension {d}")
+    amps = (psi @ scenario._rows.T).reshape(-1, d, meter1.dim, meter2.dim)
     probs = clamp_probability(_branch_sums(amps, meter1.spectral, meter2.spectral))
     gap = np.abs(probs.sum(axis=(1, 2)) - 1.0)
     _require("joint probabilities sum to 1", gap, PROBABILITY_SUM_TOL, NumericalConsistencyError)
@@ -253,21 +258,20 @@ def joint_distribution(scenario: JointScenario, psi: State) -> JointDistribution
     x's and branch y's columns. This equals the product of the evolved
     meters' projectors in the composite state. Entries are nonnegative.
     """
-    if psi.dim != scenario.system_dim:
-        raise ValueError(
-            f"state dimension {psi.dim} does not match system dimension {scenario.system_dim}"
-        )
-    probs = _joint_tables(scenario, psi.amplitudes.reshape(1, -1))[0].tolist()
+    probs = _joint_tables(scenario, psi.amplitudes[None])[0].tolist()
     labels1, labels2 = scenario.process1.meter.labels, scenario.process2.meter.labels
     entries = [((x, y), p) for x, row in zip(labels1, probs) for y, p in zip(labels2, row)]
     return JointDistribution(tuple(entries))
 
 
 def _agreement(scenario: JointScenario, label_tol: float) -> np.ndarray:
-    """agree[i, j]: the observers' labels x_i and y_j count as one value."""
+    """The (n1 n2, n1 + 1) 0/1 map G of a flattened joint table: entry
+    (x_i, y_j) goes to column i when the labels agree within label_tol, else
+    to column n1, the mass where the observers disagree."""
     labels1 = np.array(scenario.process1.meter.labels)
-    labels2 = np.array(scenario.process2.meter.labels)
-    return _labels_agree(labels1[:, None], labels2[None, :], label_tol)
+    n1 = len(labels1)
+    same = _labels_agree(labels1[:, None], scenario.process2.meter.labels, label_tol)
+    return np.eye(n1 + 1)[np.where(same, np.arange(n1)[:, None], n1).ravel()]
 
 
 def check_intersubjectivity(
@@ -278,19 +282,16 @@ def check_intersubjectivity(
 ) -> IntersubjectivityReport:
     """Measure the probability that the two observers read different values.
 
-    Joint entries whose labels agree within label_tol count as diagonal and
-    are summed per first-observer label, for each label with at least one
-    agreeing partner; everything else accumulates into the off-diagonal
-    mass, which must stay below tol for the check to pass. The agreement
-    mask is the one ``verify_oit`` reduces its batched tables with.
+    The joint table times the agreement map G (``_agreement``), as in
+    ``verify_oit``: entries whose labels agree within label_tol are summed
+    per first-observer label, kept for each label with an agreeing partner;
+    the rest is the off-diagonal mass, which must stay below tol to pass.
     """
-    agree = _agreement(scenario, label_tol)
-    joint = np.array([p for _, p in joint_distribution(scenario, psi).entries]).reshape(agree.shape)
-    off_mass = float(np.where(agree, 0.0, joint).sum())
-    masses = np.where(agree, joint, 0.0).sum(axis=1).tolist()
-    labels = scenario.process1.meter.labels
-    diagonal = {x: mass for x, mass, hit in zip(labels, masses, agree.any(axis=1)) if hit}
-    return IntersubjectivityReport(off_mass, diagonal, tol)
+    agreement = _agreement(scenario, label_tol)
+    masses = (_joint_tables(scenario, psi.amplitudes[None]).reshape(-1) @ agreement).tolist()
+    hits = agreement[:, :-1].any(axis=0)
+    diagonal = {x: m for x, m, hit in zip(scenario.process1.meter.labels, masses, hits) if hit}
+    return IntersubjectivityReport(masses[-1], diagonal, tol)
 
 
 def verify_oit(
@@ -302,26 +303,28 @@ def verify_oit(
 ) -> OitSummary:
     """Check that two reproducible measurements of one sharp observable agree.
 
-    Builds two processes reproducing ``a`` (the pointer-shift construction
-    and a dilation of a's projective POVM), verifies reproducibility for
-    both as a hard precondition at the default bounds (not ``tol`` and
-    ``label_tol``, which set only the agreement check), composes them, and
-    runs the agreement check on seeded random states. Also tracks how far
-    the diagonal probabilities drift from the Born distribution of ``a``.
-    The trial states come in trial order from the one stream
-    ``default_rng(seed)``, each drawn as ``random_state`` draws it, so trial 0
-    is ``random_state(a.dim, seed)`` and any chunk length replays exactly.
+    Builds two Lueders processes reproducing ``a`` (the pointer-shift
+    construction and a dilation of a's projective POVM), verifies
+    reproducibility for both as a hard precondition at the default bounds
+    (not ``tol`` and ``label_tol``, which set only the agreement check),
+    composes them, and runs the agreement check on seeded random states.
+    Also tracks how far the diagonal probabilities drift from the Born
+    distribution of ``a``. The trial states come in trial order from the one
+    stream ``default_rng(seed)``, each drawn as ``random_state`` draws it, so
+    trial 0 is ``random_state(a.dim, seed)`` and any chunk length replays.
 
     The trials are evaluated in chunks, each as one batch: the chunk's
     states are normalized as one (T, d) array, its joint laws are one
     complex product with the scenario's rows (``_joint_tables``) and its Born
     laws of ``a`` one product with a's eigenbasis, each then summed per
-    branch by the one ``_branch_sums``. Each trial keeps the checks of the
-    per-state functions (``check_intersubjectivity``, ``born_probabilities``):
-    state norm, probability clamping and both sums, with the same bounds and
-    errors. A chunk holds about 2^14 complex entries of composite amplitudes,
-    D = d k1 k2 per trial: its largest arrays, and no array grows with the
-    trial count. More trials than 2^20 chunks hold raise ``ValueError``.
+    branch by the one ``_branch_sums``; the joint tables times the agreement
+    map G of ``check_intersubjectivity`` give every trial's agreement masses.
+    Each trial keeps the checks of the per-state functions
+    (``check_intersubjectivity``, ``born_probabilities``): state norm,
+    probability clamping and both sums, with the same bounds and errors. A
+    chunk holds about 2^14 complex entries of composite amplitudes, D = d k1
+    k2 per trial: its largest arrays, and no array grows with the trial
+    count. More trials than 2^20 chunks hold raise ``ValueError``.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -340,8 +343,8 @@ def verify_oit(
     if trials > chunk * _MAX_CHUNKS:
         raise ValueError(f"trials {trials} exceed the limit {chunk * _MAX_CHUNKS} at d = {d}")
     # The pointer process's meter carries a's labels in a's order, so column i
-    # of the diagonal mass below pairs with a's Born probability of label i.
-    agree = _agreement(scenario, label_tol)
+    # of the agreement masses below pairs with a's Born probability of label i.
+    agreement = _agreement(scenario, label_tol)
     rng = np.random.default_rng(seed)
     max_off = 0.0
     max_gap = 0.0
@@ -349,15 +352,13 @@ def verify_oit(
         psi = _gaussian_amplitudes(rng, min(chunk, trials - start), d)
         psi /= np.linalg.norm(psi, axis=1)[:, None]
         _require("state has unit norm", np.abs(np.linalg.norm(psi, axis=1) - 1.0), STATE_NORM_TOL)
-        joint = _joint_tables(scenario, psi)
-        off = np.where(agree, 0.0, joint).sum(axis=(1, 2))
-        diagonal = np.where(agree, joint, 0.0).sum(axis=2)
+        masses = _joint_tables(scenario, psi).reshape(len(psi), -1) @ agreement
         amps = (psi @ a.spectral.basis.conj()).reshape(-1, 1, d, 1)
         born = clamp_probability(_branch_sums(amps, a.spectral)[..., 0])
         gap = np.abs(born.sum(axis=1) - 1.0)
         _require("probabilities sum to 1", gap, PROBABILITY_SUM_TOL, NumericalConsistencyError)
-        max_off = max(max_off, float(off.max()))
-        max_gap = max(max_gap, float(np.abs(diagonal - born).max()))
+        max_off = max(max_off, float(masses[:, -1].max()))
+        max_gap = max(max_gap, float(np.abs(masses[:, :-1] - born).max()))
     return OitSummary(
         trials=trials,
         seed=seed,

@@ -195,30 +195,13 @@ class Povm:
 _ONE_BRANCH = SpectralDecomposition(((0.0, np.ones((1, 1))),))
 
 
-def _born_table(w: np.ndarray, first, second=_ONE_BRANCH) -> np.ndarray:
-    """Born table <w| I x P_x x Q_y |w> over every pair of branches.
-
-    ``w`` is a state tensor of shape (rest, k1, k2), or a batch of them of
-    shape (..., rest, k1, k2); ``first`` and ``second`` are the spectral
-    families on the k1 and k2 axes. Both axes are rotated into their
-    eigenbases, B1^H w B2^*, by two 2-D matrix products, and ``_branch_sums``
-    reads the table off the rotated amplitudes: O(rest k1 k2 (k1 + k2)) per
-    state, with no projector or reduced state formed.
-    """
-    *batch, rest, k1, k2 = w.shape
-    amps = (w.reshape(-1, k2) @ second.basis.conj()).reshape(-1, k1, k2)
-    # The rows of the second product run over (state, rest, b) and its
-    # columns over a, so its amplitudes are laid out (..., rest, k2, k1).
-    amps = amps.transpose(0, 2, 1).reshape(-1, k1) @ first.basis.conj()
-    return np.swapaxes(_branch_sums(amps.reshape(*batch, rest, k2, k1), second, first), -1, -2)
-
-
 def _branch_sums(amps: np.ndarray, first, second=_ONE_BRANCH) -> np.ndarray:
     """The real (..., n1, n2) table, exactly nonnegative, of amplitudes of shape
-    (..., rest, k1, k2) already in the eigenbases of ``first`` and ``second``:
-    squared moduli summed over rest (an ``einsum``, far faster than ``sum``
-    over a short middle axis), then over each branch's columns, a sum that a
-    family of one-column branches skips."""
+    (..., rest, k1, k2) that the caller has rotated into the eigenbases of
+    ``first`` and ``second`` (B1^H w B2^*), the one way a sharp Born law is
+    read: squared moduli summed over rest (an ``einsum``, far faster than
+    ``sum`` over a short middle axis), then over each branch's columns, a sum
+    that a family of one-column branches skips. No projector is formed."""
     mass = np.einsum("...iac->...ac", amps.real**2 + amps.imag**2)
     for axis, family in ((-1, second), (-2, first)):
         if len(family.blocks) < family.dim:
@@ -227,12 +210,12 @@ def _branch_sums(amps: np.ndarray, first, second=_ONE_BRANCH) -> np.ndarray:
 
 
 def born_probabilities(a: Observable, psi: State) -> OutcomeDistribution:
-    """Distribution of a sharp observable in a state, read through the
-    eigenbasis of its spectral family."""
+    """Distribution of a sharp observable in a state: the state rotated into
+    the eigenbasis of its spectral family, psi^T B^*, and summed per branch."""
     if a.dim != psi.dim:
         raise ValueError(f"observable dimension {a.dim} does not match state dimension {psi.dim}")
-    table = _born_table(psi.amplitudes.reshape(1, -1, 1), a.spectral)
-    return OutcomeDistribution.from_values(a.labels, table[:, 0])
+    amps = (psi.amplitudes.reshape(1, -1) @ a.spectral.basis.conj())[..., None]
+    return OutcomeDistribution.from_values(a.labels, _branch_sums(amps, a.spectral)[:, 0])
 
 
 def povm_probabilities(p: Povm, psi: State) -> OutcomeDistribution:

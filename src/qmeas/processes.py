@@ -26,8 +26,8 @@ from .linalg import (
     as_complex_matrix,
     complete_isometry_to_unitary,
 )
-from .observables import Observable, OutcomeDistribution, Povm, _born_table, _labels_agree
-from .tolerances import DEFAULT_LABEL_TOL, DEFAULT_TOL, UNITARY_TOL, _require
+from .observables import Observable, OutcomeDistribution, Povm, _branch_sums, _labels_agree
+from .tolerances import DEFAULT_LABEL_TOL, DEFAULT_TOL, EFFECT_RANK_FACTOR, UNITARY_TOL, _require
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -136,8 +136,9 @@ def outcome_distribution(mp: MeasurementProcess, psi: State) -> OutcomeDistribut
     """
     if psi.dim != mp.system_dim:
         raise ValueError(f"state dimension {psi.dim} does not match system dimension {mp.system_dim}")
-    w = (mp.isometry @ psi.amplitudes).reshape(mp.system_dim, mp.ancilla_dim, 1)
-    table = _born_table(w, mp.meter.spectral)
+    w = (mp.isometry @ psi.amplitudes).reshape(mp.system_dim, mp.ancilla_dim)
+    amps = w @ mp.meter.spectral.basis.conj()
+    table = _branch_sums(amps[..., None], mp.meter.spectral)
     return OutcomeDistribution.from_values(mp.meter.labels, table[:, 0])
 
 
@@ -215,10 +216,13 @@ def _pointer_meter(labels) -> Observable:
 def _effect_sqrt(effects: np.ndarray) -> np.ndarray:
     """Principal square root of a positive semidefinite matrix, or of each in a stack.
 
-    Eigenvalues that rounding pushed slightly negative are clamped to zero.
+    Eigenvalues at or below EFFECT_RANK_FACTOR d u max|lambda| (u the unit
+    roundoff) are rounding noise set to 0, so a rank-deficient root keeps its rank.
     """
     values, vectors = np.linalg.eigh(effects)
-    roots = np.sqrt(np.clip(values, 0.0, None))[..., None, :]
+    noise = EFFECT_RANK_FACTOR * values.shape[-1] * np.finfo(float).eps / 2
+    kept = np.where(values > noise * np.abs(values).max(axis=-1, keepdims=True), values, 0.0)
+    roots = np.sqrt(kept)[..., None, :]
     return (vectors * roots) @ vectors.conj().swapaxes(-1, -2)
 
 

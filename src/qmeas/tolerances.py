@@ -20,6 +20,9 @@ PROJECTOR_TOL = 1e-10
 STATE_NORM_TOL = 1e-12
 #: Schmidt coefficients at or below this are dropped.
 SCHMIDT_CUTOFF = 1e-12
+#: An effect eigenvalue at or below this many d u max|lambda| (u the unit
+#: roundoff, d the dimension) is rounding noise and is set to 0 before a root.
+EFFECT_RANK_FACTOR = 16.0
 
 #: Entrywise bound on an effect's Hermiticity, spectrum, idempotence and
 #: orthogonality residuals and on sum_x E_x - I; Frobenius bound on an

@@ -17,7 +17,7 @@ import numpy as np
 
 from .linalg import SpectralDecomposition, State, _reduce
 from .linalg import complete_isometry_to_unitary, schmidt_decompose
-from .observables import Observable, _born_table, clamp_probability
+from .observables import Observable, _branch_sums, clamp_probability
 from .processes import MeasurementProcess
 from .tolerances import DEFAULT_TOL
 
@@ -103,8 +103,11 @@ def entangled_state(psi: State, a: Observable) -> State:
 def _joint_matrix(a1: Observable, a2: Observable, phi: State) -> np.ndarray:
     if phi.dim != a1.dim * a2.dim:
         raise ValueError(f"state dimension {phi.dim} does not factor as {a1.dim} x {a2.dim}")
-    table = _born_table(phi.amplitudes.reshape(1, a1.dim, a2.dim), a1.spectral, a2.spectral)
-    return clamp_probability(table)
+    # Rotated as (phi B2^*)^T B1^*, so the table comes out (n2, n1); the other
+    # order moves reported values in their last bits.
+    amps = (phi.amplitudes.reshape(a1.dim, a2.dim) @ a2.spectral.basis.conj()).T
+    table = _branch_sums((amps @ a1.spectral.basis.conj())[None], a2.spectral, a1.spectral)
+    return clamp_probability(table.T)
 
 
 def _best_pairing(joint: np.ndarray) -> tuple[tuple[int, int], ...]:

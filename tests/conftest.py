@@ -100,6 +100,21 @@ def reference_joint_law(scenario, psi):
     return np.array([[np.vdot(e1 @ phi, e2 @ phi).real for _, e2 in branches2] for _, e1 in branches1])
 
 
+def reference_agreement(entries, label_tol):
+    """The per-entry agreement loop over a joint distribution's ((x, y), p)
+    entries: (off-diagonal mass, diagonal), an entry agreeing when
+    |x - y| <= label_tol. The diagonal sums the agreeing entries per first
+    label and has a key for each first label with at least one agreeing
+    partner."""
+    off, diagonal = 0.0, {}
+    for (x, y), p in entries:
+        if abs(x - y) <= label_tol:
+            diagonal[x] = diagonal.get(x, 0.0) + p
+        else:
+            off += p
+    return off, diagonal
+
+
 def reference_cell_counts(boundaries, draws):
     """The per-draw inverse CDF that sorted counting replaced: each draw's cell
     is the number of boundaries at or below it, counted with ``np.unique``.

@@ -16,6 +16,7 @@ from conftest import (
     random_meter_process,
     random_povm_outcomes,
     random_unitary,
+    reference_agreement,
     reference_cell_counts,
     reference_joint_law,
 )
@@ -513,6 +514,39 @@ def test_agreement_report_flags_disagreement():
     report = check_intersubjectivity(scenario, random_state(2, seed=1))
     assert not report.passes
     assert report.off_diagonal_mass == pytest.approx(0.5, abs=1e-12)
+
+
+# Meter labels are the integers 0..k-1, so at label_tol 1.5 agreement is not
+# transitive (0 agrees with 1 and 1 with 2, but 0 not with 2), and at 1.0 every
+# neighbouring pair sits exactly on the inclusive boundary.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from([1, 2]),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([1e-8, 1.0, 1.5]),
+)
+@example(seed=4, d=2, k1=3, k2=5, first=1, degenerate1=False, degenerate2=True, label_tol=1.5)
+@example(seed=5, d=3, k1=4, k2=3, first=2, degenerate1=True, degenerate2=False, label_tol=1.5)
+def test_agreement_masses_match_the_per_entry_loop(
+    seed, d, k1, k2, first, degenerate1, degenerate2, label_tol
+):
+    assume(k1 != k2)
+    rng = np.random.default_rng(seed)
+    p1 = random_meter_process(d, k1, rng, degenerate1)
+    p2 = random_meter_process(d, k2, rng, degenerate2)
+    scenario = compose_joint_scenario(p1, p2, first=first)
+    psi = random_state(d, seed=seed)
+    report = check_intersubjectivity(scenario, psi, label_tol=label_tol)
+    off, diagonal = reference_agreement(joint_distribution(scenario, psi).entries, label_tol)
+    assert abs(report.off_diagonal_mass - off) <= 1e-12
+    assert list(report.diagonal) == list(diagonal)
+    for x, mass in diagonal.items():
+        assert abs(report.diagonal[x] - mass) <= 1e-12
 
 
 def test_report_rejects_leaking_mass():

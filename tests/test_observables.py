@@ -23,7 +23,7 @@ from qmeas.observables import (
     Observable,
     OutcomeDistribution,
     Povm,
-    _born_table,
+    _branch_sums,
     born_probabilities,
     clamp_probability,
     is_projective,
@@ -131,13 +131,15 @@ def test_born_kernel_matches_the_operator_stack_reference(seed, kind1, kind2, k1
     shape = (*batch, rest, first.dim, second.dim)
     w = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     w /= np.sqrt(np.sum(np.abs(w) ** 2, axis=(-3, -2, -1), keepdims=True))
-    got = _born_table(w, first, second)
+    # Every caller rotates its state tensor into both eigenbases, B1^H w B2^*.
+    amps = first.basis.conj().T @ w @ second.basis.conj()
+    got = _branch_sums(amps, first, second)
     want = reference_born_table(w, np.array(first.projectors), np.array(second.projectors))
     assert got.shape == (*batch, len(first.blocks), len(second.blocks))
     assert np.all(got >= 0.0)
     assert np.max(np.abs(got - want)) <= 1e-12
     if kind2 == "one-branch":
-        np.testing.assert_array_equal(_born_table(w, first), got)
+        np.testing.assert_array_equal(_branch_sums(amps, first), got)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -46,7 +46,7 @@ from qmeas.processes import (
     naimark_dilation,
     outcome_distribution,
 )
-from qmeas.tolerances import UNITARY_TOL
+from qmeas.tolerances import EFFECT_RANK_FACTOR, UNITARY_TOL
 from qmeas.vonneumann import (
     build_vn_process,
     check_observable_entanglement,
@@ -342,6 +342,12 @@ def test_dilation_places_completion_columns_as_before(dim, n):
     np.testing.assert_array_equal(naimark_dilation(p).coupling, expected)
 
 
+# Rounding noise at or below this many unit roundoffs u, times the dimension
+# and the largest eigenvalue, is what the root sets to zero.
+def rank_noise(dim):
+    return EFFECT_RANK_FACTOR * dim * np.finfo(float).eps / 2
+
+
 def per_effect_sqrt(effect):
     """Reference principal square root of one effect by its own eigh."""
     values, vectors = np.linalg.eigh(effect)
@@ -351,9 +357,32 @@ def per_effect_sqrt(effect):
 @pytest.mark.parametrize("dim, n", [(1, 1), (2, 3), (3, 2), (5, 7), (8, 8), (16, 16)])
 def test_dilation_isometry_matches_the_per_effect_reference_exactly(dim, n):
     p = Povm(random_povm_outcomes(dim, n, np.random.default_rng(7 * dim + n)))
+    # Full rank, so the rank cutoff of the roots leaves every eigenvalue as it is.
+    values = np.linalg.eigvalsh(p.effects)
+    assert np.all(values > rank_noise(dim) * values[:, -1:])
     # Row (i, x) is row i of the square root of effect x.
     want = np.stack([per_effect_sqrt(e) for e in p.effects], axis=1).reshape(dim * n, dim)
     assert np.array_equal(naimark_dilation(p).isometry, want)
+
+
+@pytest.mark.parametrize("dim", [4, 16, 64])
+def test_the_root_of_a_rank_deficient_projector_is_the_projector(dim):
+    # A kept rounding-level eigenvalue of u would add sqrt(u) ~ 1e-8 entrywise.
+    basis = random_unitary(dim, np.random.default_rng(dim))
+    for rank in (1, dim // 2):
+        projector = basis[:, :rank] @ basis[:, :rank].conj().T
+        assert np.max(np.abs(_effect_sqrt(projector) - projector)) <= rank_noise(dim)
+
+
+@pytest.mark.parametrize("dim", [4, 8, 16])
+def test_the_dilation_of_a_pvm_is_the_pointer_process(dim):
+    # Both isometries are the projector stack V[(i, x), j] = P_x[i, j].
+    rng = np.random.default_rng(dim)
+    for values in (rng.permutation(dim), np.arange(dim) % 3):
+        basis = random_unitary(dim, rng)
+        a = Observable.from_matrix((basis * values) @ basis.conj().T)
+        dilated = naimark_dilation(Povm.from_observable(a)).isometry
+        assert np.max(np.abs(dilated - build_vn_process(a).isometry)) <= rank_noise(dim)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
