@@ -4,14 +4,14 @@ Two measurement processes that share the system but own separate ancillas
 are composed into one scenario, only by ``compose_joint_scenario``, through
 their isometries V = U (I x xi), each with its ancilla axis rotated into its
 meter's eigenbasis: applied one after the other they give the scenario's
-(D, d) rows W = (I x B1^H x B2^H) V at O(D d^2), so a scenario's joint law
-is the one its processes define. That law is read from W psi, the state
-tensor already in both meter eigenbases, by summing squared amplitudes over
-each pair of branches. The isometry V itself, the dense D x D composite
-coupling and the evolved meters (each process meter conjugated by it,
-commuting by construction) are built only when read, the last two at O(D^3).
-The checks here measure how much probability the two observers assign to
-unequal outcomes; a report's pass flag is read from the mass it summarizes.
+(D, d) rows W at O(D d^2), its only data, so a scenario's joint law is the
+one its processes define. Every statistic reads W psi, the state tensor
+already in both meter eigenbases, through one table of squared amplitudes
+summed over each pair of branches. The dense D x D composite coupling and
+the evolved meters (each process meter conjugated by it, commuting by
+construction) are references, built at O(D^3) only when read. The checks
+here measure how much probability the two observers assign to unequal
+outcomes; a report's pass flag is read from the mass it summarizes.
 
 ``verify_oit`` draws its trial states in order from the one stream its seed
 names and evaluates them in chunks of about 2^14 complex entries of composite
@@ -66,15 +66,16 @@ class JointScenario:
 
     Built only by ``compose_joint_scenario``; the class has no constructor of
     its own. The composite space is system x first ancilla x second ancilla;
-    process ``first`` couples first. The data is the read-only (D, d) rows
-    ``_rows``, W = (I x B1^H x B2^H) V, the scenario isometry V in both meter
-    eigenbases, with W^H W = I checked within UNITARY_TOL at O(D d^2). The
-    joint law is read from W alone (see ``joint_distribution``).
+    process ``first`` couples first. The only data is the read-only (D, d)
+    rows ``_rows``, W = (I x B1^H x B2^H) C (I x xi1 x xi2): the composite
+    coupling C at both ancilla states, each ancilla axis in its meter's
+    eigenbasis, with W^H W = I checked within UNITARY_TOL at O(D d^2). Every
+    statistic is read from W alone (see ``joint_distribution``).
 
-    The read-only ``isometry`` V, the dense ``composite_coupling`` (O(D^3)
-    with its unitarity check) and the evolved meters (each process meter on
-    its own ancilla factor conjugated by it, O(D^3) each) are built on first
-    read and kept. The meters commute by construction, being lifted to
+    The dense ``composite_coupling`` C (O(D^3) with its unitarity check) and
+    the evolved meters (each process meter on its own ancilla factor
+    conjugated by it, O(D^3) each) are references, built on first read and
+    kept. The meters commute by construction, being lifted to
     distinct factors and conjugated by one unitary, and are checked to
     within COMMUTATOR_TOL (else ``LocalityError``).
     """
@@ -94,12 +95,6 @@ class JointScenario:
     @property
     def total_dim(self) -> int:
         return self.system_dim * self.process1.ancilla_dim * self.process2.ancilla_dim
-
-    @functools.cached_property
-    def isometry(self) -> np.ndarray:
-        d = self.system_dim
-        v1, v2 = (p.isometry.reshape(d, -1, d) for p in (self.process1, self.process2))
-        return _chain(v1, v2, self.first)
 
     @functools.cached_property
     def composite_coupling(self) -> np.ndarray:
@@ -197,8 +192,8 @@ def compose_joint_scenario(
     the other observer's ancilla, and the two are applied sequentially;
     process ``first`` (1 or 2) couples first. The process isometries, each
     ancilla axis in its meter's eigenbasis (one batched k x k product), are
-    contracted over their shared system index at O(D d^2), so the rows W are
-    the ones the processes define; V and the dense objects come on first read.
+    contracted over their shared system index at O(D d^2) into the read-only
+    rows W the processes define; the dense objects come on first read.
     """
     if first not in (1, 2):
         raise ValueError("first must be 1 or 2")
@@ -208,24 +203,16 @@ def compose_joint_scenario(
     if total > PRODUCT_DIM_GUARD:
         raise ValueError(f"composite dimension {total} exceeds the guard {PRODUCT_DIM_GUARD}")
     w1, w2 = (p.meter.spectral.basis.conj().T @ p.isometry.reshape(d, -1, d) for p in (p1, p2))
-    rows = _chain(w1, w2, first)
+    # Rows (system, column 1, column 2); m is the system index between the two.
+    if first == 1:
+        rows = np.einsum("icm,maj->iacj", w2, w1, optimize=True).reshape(total, d)
+    else:
+        rows = np.einsum("iam,mcj->iacj", w1, w2, optimize=True).reshape(total, d)
+    rows.setflags(write=False)
     _require("scenario isometry has orthonormal columns", _gram_error(rows), UNITARY_TOL)
     scenario = object.__new__(JointScenario)
     vars(scenario).update(process1=p1, process2=p2, _rows=rows, first=first)
     return scenario
-
-
-def _chain(v1: np.ndarray, v2: np.ndarray, first: int) -> np.ndarray:
-    """Read-only (D, d) product of process isometries (d, k1, d) and (d, k2, d),
-    process ``first`` first, rows (system, ancilla 1, ancilla 2); m is the
-    system index between the two."""
-    if first == 1:
-        v = np.einsum("icm,maj->iacj", v2, v1, optimize=True)
-    else:
-        v = np.einsum("iam,mcj->iacj", v1, v2, optimize=True)
-    v = v.reshape(-1, v.shape[-1])
-    v.setflags(write=False)
-    return v
 
 
 def _joint_tables(scenario: JointScenario, psi: np.ndarray) -> np.ndarray:
@@ -241,7 +228,7 @@ def _joint_tables(scenario: JointScenario, psi: np.ndarray) -> np.ndarray:
         raise ValueError(f"state dimension {psi.shape[1]} does not match system dimension {d}")
     amps = (psi @ scenario._rows.T).reshape(-1, d, meter1.dim, meter2.dim)
     probs = clamp_probability(_branch_sums(amps, meter1.spectral, meter2.spectral))
-    gap = np.abs(probs.sum(axis=(1, 2)) - 1.0)
+    gap = np.abs(np.einsum("txy->t", probs) - 1.0)
     _require("joint probabilities sum to 1", gap, PROBABILITY_SUM_TOL, NumericalConsistencyError)
     return probs
 
@@ -249,14 +236,14 @@ def _joint_tables(scenario: JointScenario, psi: np.ndarray) -> np.ndarray:
 def joint_distribution(scenario: JointScenario, psi: State) -> JointDistribution:
     """Joint outcome probabilities for both observers in a system state.
 
-    Applies the scenario's isometry to psi, which equals the composite
-    coupling applied to psi x xi1 x xi2, and reads the result w as a tensor
-    over (system, ancilla 1, ancilla 2). The probability of the pair (x, y)
-    is <w| I x P_x x Q_y |w>, with P_x and Q_y the spectral projectors of the
+    The composite coupling applied to psi x xi1 x xi2 gives a tensor w over
+    (system, ancilla 1, ancilla 2). The probability of the pair (x, y) is
+    <w| I x P_x x Q_y |w>, with P_x and Q_y the spectral projectors of the
     two process meters on their own ancilla axes, read without forming them:
-    the squared amplitudes of w in both meter eigenbases, summed over branch
-    x's and branch y's columns. This equals the product of the evolved
-    meters' projectors in the composite state. Entries are nonnegative.
+    W psi is w in both meter eigenbases, and its squared amplitudes are
+    summed over branch x's and branch y's columns. This equals the product
+    of the evolved meters' projectors in the composite state. Entries are
+    nonnegative.
     """
     probs = _joint_tables(scenario, psi.amplitudes[None])[0].tolist()
     labels1, labels2 = scenario.process1.meter.labels, scenario.process2.meter.labels
@@ -355,7 +342,7 @@ def verify_oit(
         masses = _joint_tables(scenario, psi).reshape(len(psi), -1) @ agreement
         amps = (psi @ a.spectral.basis.conj()).reshape(-1, 1, d, 1)
         born = clamp_probability(_branch_sums(amps, a.spectral)[..., 0])
-        gap = np.abs(born.sum(axis=1) - 1.0)
+        gap = np.abs(np.einsum("tx->t", born) - 1.0)
         _require("probabilities sum to 1", gap, PROBABILITY_SUM_TOL, NumericalConsistencyError)
         max_off = max(max_off, float(masses[:, -1].max()))
         max_gap = max(max_gap, float(np.abs(masses[:, :-1] - born).max()))
@@ -387,21 +374,24 @@ def sample_outcomes(
 ) -> dict[tuple[float, float], int]:
     """Draw outcome pairs from the joint distribution by inverse CDF.
 
-    Uses numpy's PCG64 stream seeded as given (a nonnegative integer, else
-    ``ValueError``); identical arguments produce identical counts. Only
-    observed pairs appear in the result, so zero draws yield an empty
-    mapping.
+    The cells are the entries of psi's checked joint table, pairs in
+    row-major label order, drawn from numpy's PCG64 stream seeded as given
+    (a nonnegative integer, else ``ValueError``); identical arguments
+    produce identical counts. Only observed pairs appear in the result, so
+    zero draws yield an empty mapping.
     """
     if n < 0:
         raise ValueError("sample count must be nonnegative")
     _check_seed(seed)
-    joint = joint_distribution(scenario, psi)
+    table = _joint_tables(scenario, psi.amplitudes[None])[0]
     if n == 0:
         return {}
-    boundaries = np.cumsum([p for _, p in joint.entries])
+    boundaries = np.cumsum(table.ravel())
     boundaries[-1] = 1.0
     counts = _cell_counts(boundaries, np.random.default_rng(seed).random(n)).tolist()
-    return {pair: count for (pair, _), count in zip(joint.entries, counts) if count}
+    labels1, labels2 = scenario.process1.meter.labels, scenario.process2.meter.labels
+    pairs = [(x, y) for x in labels1 for y in labels2]
+    return {pair: count for pair, count in zip(pairs, counts) if count}
 
 
 def _cell_counts(boundaries: np.ndarray, draws: np.ndarray) -> np.ndarray:

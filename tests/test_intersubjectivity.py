@@ -146,20 +146,19 @@ def test_compose_and_joint_law_peak_memory_at_dimension_eight():
     st.sampled_from([1, 2]),
 )
 @example(seed=3, d=5, k1=4, k2=2, first=2)
-def test_stored_isometry_is_the_composite_coupling_at_the_ancilla_states(seed, d, k1, k2, first):
+def test_stored_rows_are_the_composite_coupling_at_the_ancilla_states(seed, d, k1, k2, first):
+    # The rows are the coupling's ancilla-state columns with both ancilla
+    # axes in their meters' eigenbases.
     assume(k1 != k2)
     rng = np.random.default_rng(seed)
     p1 = random_meter_process(d, k1, rng, degenerate=False)
     p2 = random_meter_process(d, k2, rng, degenerate=True)
     scenario = compose_joint_scenario(p1, p2, first=first)
     xi = np.kron(p1.ancilla_state.amplitudes, p2.ancilla_state.amplitudes)[:, None]
-    columns = scenario.composite_coupling @ np.kron(np.eye(d), xi)
-    assert np.max(np.abs(scenario.isometry - columns)) <= 1e-12
-    # The stored rows are V with both ancilla axes in their meters' eigenbases.
     bases = np.kron(p1.meter.spectral.basis, p2.meter.spectral.basis)
-    rows = np.kron(np.eye(d), bases.conj().T) @ scenario.isometry
+    rows = np.kron(np.eye(d), bases.conj().T) @ scenario.composite_coupling @ np.kron(np.eye(d), xi)
     assert np.max(np.abs(scenario._rows - rows)) <= 1e-12
-    for array in (scenario._rows, scenario.isometry, scenario.composite_coupling):
+    for array in (scenario._rows, scenario.composite_coupling):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 1.0
@@ -170,7 +169,6 @@ def test_statistics_never_read_the_composite_coupling(monkeypatch):
         raise AssertionError("statistics must be read from the scenario's rows")
 
     monkeypatch.setattr(JointScenario, "composite_coupling", property(refuse))
-    monkeypatch.setattr(JointScenario, "isometry", property(refuse))
     a = Observable.from_matrix(np.diag([1.0, 2.0, 3.0]))
     assert verify_oit(a, trials=20, seed=2).passes
     scenario = compose_joint_scenario(
@@ -179,6 +177,12 @@ def test_statistics_never_read_the_composite_coupling(monkeypatch):
     psi = random_state(3, seed=9)
     assert joint_distribution(scenario, psi).probability(2.0, 2.0) > 0.0
     assert check_intersubjectivity(scenario, psi).passes
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("sampling reads the joint table, not a JointDistribution")
+
+    # Sampling builds no JointDistribution either.
+    monkeypatch.setattr(intersubjectivity, "JointDistribution", unbuilt)
     assert sum(sample_outcomes(scenario, psi, 100, seed=1).values()) == 100
 
 
@@ -206,8 +210,9 @@ def test_composed_scenario_survives_a_pickle_round_trip(first):
     )
     copy = pickle.loads(pickle.dumps(scenario))
     assert copy.first == first
-    assert np.array_equal(copy.isometry, scenario.isometry)
-    assert not copy.isometry.flags.writeable
+    for name in ("_rows", "composite_coupling"):
+        assert np.array_equal(getattr(copy, name), getattr(scenario, name))
+        assert not getattr(copy, name).flags.writeable
     psi = random_state(3, seed=4)
     assert joint_distribution(copy, psi) == joint_distribution(scenario, psi)
 
@@ -216,9 +221,12 @@ def test_a_pickled_scenario_leaves_its_isometry_out():
     a = Observable.from_matrix(np.diag([1.0, 2.0, 2.0]))
     scenario = compose_joint_scenario(build_vn_process(a), naimark_dilation(Povm.from_observable(a)))
     before = pickle.dumps(scenario)
-    scenario.isometry
+    scenario.composite_coupling
     assert pickle.dumps(scenario) == before
-    assert "isometry" not in vars(pickle.loads(before))
+    copy = pickle.loads(before)
+    assert "composite_coupling" not in vars(copy)
+    assert np.array_equal(copy._rows, scenario._rows)
+    assert np.array_equal(copy.composite_coupling, scenario.composite_coupling)
 
 
 def reachable(value, path):
@@ -952,17 +960,25 @@ def test_sampling_never_hits_zero_probability_pairs():
 
 
 def test_sampling_counts_the_draws_of_its_one_stream():
-    # Off-diagonal cells of two pointer observers have probability zero.
-    scenario = two_pointer_scenario(np.diag([1.0, 2.0, 3.0]))
+    # Off-diagonal cells of two pointer observers have probability zero; two
+    # random meter processes (k1 = 3 nondegenerate, k2 = 4 with a repeated
+    # eigenvalue) coupled either way round put mass on every cell.
+    rng = np.random.default_rng(17)
+    p1 = random_meter_process(3, 3, rng, degenerate=False)
+    p2 = random_meter_process(3, 4, rng, degenerate=True)
+    pointers = two_pointer_scenario(np.diag([1.0, 2.0, 3.0]))
+    general = [compose_joint_scenario(p1, p2, first) for first in (1, 2)]
     psi = random_state(3, seed=8)
-    joint = joint_distribution(scenario, psi)
-    boundaries = np.cumsum([p for _, p in joint.entries])
-    boundaries[-1] = 1.0
-    for seed in (0, 9, 21):
-        draws = np.random.default_rng(seed).random(5000)
-        want = reference_cell_counts(boundaries, draws).tolist()
-        expected = {pair: count for (pair, _), count in zip(joint.entries, want) if count}
-        assert sample_outcomes(scenario, psi, 5000, seed) == expected
+    for scenario in [pointers, *general]:
+        joint = joint_distribution(scenario, psi)
+        boundaries = np.cumsum([p for _, p in joint.entries])
+        boundaries[-1] = 1.0
+        for seed in (0, 9, 21):
+            draws = np.random.default_rng(seed).random(5000)
+            want = reference_cell_counts(boundaries, draws).tolist()
+            expected = {pair: count for (pair, _), count in zip(joint.entries, want) if count}
+            assert sample_outcomes(scenario, psi, 5000, seed) == expected
+            assert len(expected) == (3 if scenario is pointers else 9)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
